@@ -142,10 +142,11 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
     out = Plane(a.points | b.points, frozenset(lines))
     validate(out)
     gained = delta(a) + delta(b) - delta(a, c)
-    assert delta(out) == gained, (
-        f"canonical amalgam broke predimension additivity: "
-        f"{delta(out)} != {gained}"
-    )
+    if delta(out) != gained:
+        raise PlaneError(
+            f"canonical amalgam broke predimension additivity: "
+            f"{delta(out)} != {gained}"
+        )
     return AmalgamResult(out, "canonical", frozenset(identified))
 
 
@@ -174,10 +175,12 @@ def classify_primitive(
     if not is_primitive(plane, lo, up):
         raise NotPrimitive("classify_primitive: the step is not primitive")
     growth = delta(plane, up) - delta(plane, lo)
-    assert growth in (0, 1), f"primitive step grew delta by {growth}"
+    if growth not in (0, 1):
+        raise PlaneError(f"primitive step grew delta by {growth}")
     if growth == 1:
         new = up - lo
-        assert len(new) == 1, "delta-1 primitive step with several new points"
+        if len(new) != 1:
+            raise PlaneError("delta-1 primitive step with several new points")
         return PrimitiveCase(1, next(iter(new)))
     return PrimitiveCase(0)
 
@@ -267,7 +270,6 @@ def d_independent(
     structural = (
         restrict(plane, aa | bb) == merged.plane and is_strong(plane, aa | bb)
     )
-    assert numeric == structural, (
-        "numeric and structural independence tests disagree"
-    )
+    if numeric != structural:
+        raise PlaneError("numeric and structural independence tests disagree")
     return numeric

@@ -14,7 +14,7 @@ from itertools import combinations, permutations
 
 from .embedding import are_isomorphic
 from .errors import BudgetExceeded, PreconditionError
-from .plane import Plane, _lines_through, make_plane, restrict, validate
+from .plane import Plane, make_plane, validate
 from .predim import in_K0, is_strong
 
 CENSUS_CAP = 7
@@ -36,7 +36,7 @@ def _color_classes(plane: Plane) -> list[list[str]]:
     stable.  The returned class order depends only on the color data, never
     on point names, so isomorphic planes refine to matching class sequences.
     """
-    through = _lines_through(plane)
+    through = plane.lines_through
     color: dict[str, object] = {
         p: tuple(sorted(len(l) for l in through[p])) for p in plane.points
     }
@@ -66,16 +66,18 @@ def _color_classes(plane: Plane) -> list[list[str]]:
     return [groups[c] for c in sorted(groups)]
 
 
-def canonical_labeling(plane: Plane) -> dict[str, int]:
-    """A relabelling points -> 0..n-1 that minimizes the encoded line set.
+def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
+    """The canonical key and a relabelling points -> 0..n-1 that attains it.
 
+    The key is (n, encoded line set) under the labelling that minimizes the
+    encoding, so two planes share it exactly when they are isomorphic.
     Labels are assigned in blocks following the refined color classes; within
     each class every permutation is tried and the lexicographically smallest
     line encoding wins.  Points on no line all land in one class and never
     affect the encoding, so only covered classes are permuted.
     """
     classes = _color_classes(plane)
-    through = _lines_through(plane)
+    through = plane.lines_through
     offsets = []
     base = 0
     for cls in classes:
@@ -101,7 +103,7 @@ def canonical_labeling(plane: Plane) -> dict[str, int]:
         if best_key is None or key < best_key:
             best_key = key
             best_map = label
-    return best_map
+    return (len(plane.points), best_key), best_map
 
 
 def _assignments(variable):
@@ -119,13 +121,11 @@ def _assignments(variable):
 
 def canonical_key(plane: Plane) -> tuple:
     """Hashable isomorphism invariant: (n, minimal relabelled line set)."""
-    label = canonical_labeling(plane)
-    lines = tuple(sorted(tuple(sorted(label[p] for p in l)) for l in plane.lines))
-    return (len(plane.points), lines)
+    return canonical_labeling(plane)[0]
 
 
 def _signature(plane: Plane) -> tuple:
-    through = _lines_through(plane)
+    through = plane.lines_through
     profile = sorted(
         tuple(sorted(len(l) for l in through[p])) for p in plane.points
     )
@@ -198,20 +198,6 @@ def _planes_exactly(n: int) -> list[Plane]:
     return reps
 
 
-def _relabel_to_letters(plane: Plane) -> tuple[tuple, Plane]:
-    label = canonical_labeling(plane)
-    name = {p: string.ascii_lowercase[label[p]] for p in plane.points}
-    relabeled = make_plane(
-        [name[p] for p in plane.points],
-        [[name[p] for p in l] for l in plane.lines],
-    )
-    key = (
-        len(plane.points),
-        tuple(sorted(tuple(sorted(label[p] for p in l)) for l in plane.lines)),
-    )
-    return key, relabeled
-
-
 def enumerate_planes(n: int) -> list[Plane]:
     """All planes with at most ``n`` points, one per isomorphism class.
 
@@ -227,7 +213,12 @@ def enumerate_planes(n: int) -> list[Plane]:
     out: list[Plane] = []
     for k in range(n + 1):
         if k not in _census_cache:
-            keyed = [_relabel_to_letters(p) for p in _planes_exactly(k)]
+            keyed = []
+            for plane in _planes_exactly(k):
+                key, label = canonical_labeling(plane)
+                name = {p: string.ascii_lowercase[i] for p, i in label.items()}
+                lines = [[name[p] for p in l] for l in plane.lines]
+                keyed.append((key, make_plane(name.values(), lines)))
             keyed.sort(key=lambda kp: kp[0])
             _census_cache[k] = [p for _, p in keyed]
         out.extend(_census_cache[k])

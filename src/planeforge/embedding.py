@@ -10,12 +10,12 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import PreconditionError
-from .plane import Plane, _lines_through, line_through, restrict
+from .plane import Plane, line_through, restrict
 
 
 def _placement_order(sub: Plane, fixed: frozenset[str]) -> list[str]:
     """Free points ordered so each one touches placed structure early."""
-    deg = {p: len(_lines_through(sub)[p]) for p in sub.points}
+    deg = {p: len(sub.lines_through[p]) for p in sub.points}
     placed = set(fixed)
     order: list[str] = []
     remaining = set(sub.points) - placed
@@ -66,8 +66,8 @@ def embeddings(
     if sub.n_points > sup.n_points:
         return
 
-    sup_deg = {q: len(_lines_through(sup)[q]) for q in sup.points}
-    sub_deg = {p: len(_lines_through(sub)[p]) for p in sub.points}
+    sup_deg = {q: len(sup.lines_through[q]) for q in sup.points}
+    sub_deg = {p: len(sub.lines_through[p]) for p in sub.points}
     order = _placement_order(sub, frozenset(fixed))
 
     def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:

@@ -20,6 +20,7 @@ from math import comb
 from .amalgam import canonical_amalgam, classify_primitive, decompose, is_primitive
 from .census import (
     EXTENSION_CAP,
+    canonical_key,
     canonical_labeling,
     enumerate_planes,
     enumerate_strong_extensions,
@@ -83,23 +84,13 @@ class _TypePair:
     base_size: int
     new_size: int
     base_key: tuple
-    base_rep: Plane
+    base_label: dict  # canonical labelling of the base representative
     ext_index: int
     template: Plane
 
     @property
     def fire_key(self):
         return (self.base_key, self.new_size, self.ext_index)
-
-
-def _canonical_key_and_map(plane: Plane):
-    label = canonical_labeling(plane)
-    key = (
-        len(plane.points),
-        tuple(sorted(tuple(sorted(label[p] for p in l)) for l in plane.lines)),
-    )
-    inverse = {i: p for p, i in label.items()}
-    return key, inverse
 
 
 class _Builder:
@@ -116,17 +107,15 @@ class _Builder:
     def _register(self, image: frozenset) -> None:
         if len(image) > 7:
             return  # never needed as a base: tier bases stay census-sized
-        sub = restrict(self.stage, image)
-        key, inverse = _canonical_key_and_map(sub)
+        key, label = canonical_labeling(restrict(self.stage, image))
         if key not in self.instances:
-            self.instances[key] = (image, inverse)
+            self.instances[key] = (image, {i: p for p, i in label.items()})
 
-    def fire(self, base_key, base_rep: Plane, template: Plane) -> None:
+    def fire(self, base_key, base_label: dict, template: Plane) -> None:
         inst_points, inst_map = self.instances[base_key]
-        rep_label = canonical_labeling(base_rep)
-        sigma = {p: inst_map[rep_label[p]] for p in base_rep.points}
+        sigma = {p: inst_map[i] for p, i in base_label.items()}
         fresh = {}
-        for p in sorted(template.points - base_rep.points):
+        for p in sorted(template.points.difference(sigma)):
             self.counter += 1
             fresh[p] = f"x{self.counter}"
         rename = {**sigma, **fresh}
@@ -163,7 +152,7 @@ def _tier_pairs(tier: int, ext_bound: int) -> list[_TypePair]:
             if max(base_size, new_size) != tier:
                 continue
             for base in exact_census(base_size):
-                base_key, _ = _canonical_key_and_map(base)
+                base_key, base_label = canonical_labeling(base)
                 exts = enumerate_strong_extensions(base, ext_bound)
                 for ext_index, template in enumerate(exts):
                     if len(template.points) - base_size != new_size:
@@ -173,7 +162,7 @@ def _tier_pairs(tier: int, ext_bound: int) -> list[_TypePair]:
                             base_size=base_size,
                             new_size=new_size,
                             base_key=base_key,
-                            base_rep=base,
+                            base_label=base_label,
                             ext_index=ext_index,
                             template=template,
                         )
@@ -201,8 +190,7 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
         )
 
     builder = _Builder(ext_bound)
-    empty_key, _ = _canonical_key_and_map(make_plane(()))
-    empty_rep = make_plane(())
+    empty_key = canonical_key(make_plane(()))
 
     for seed in seeds:
         if len(builder.records) >= steps:
@@ -210,7 +198,7 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
         validate(seed)
         if not in_K0(seed):
             raise PreconditionError("seed template is not hereditarily nonnegative")
-        builder.fire(empty_key, empty_rep, seed)
+        builder.fire(empty_key, {}, seed)
 
     pending: deque = deque()
     fired = set()
@@ -226,7 +214,7 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
             if pair.base_key not in builder.instances:
                 requeue.append(pair)
                 continue
-            builder.fire(pair.base_key, pair.base_rep, pair.template)
+            builder.fire(pair.base_key, pair.base_label, pair.template)
             fired.add(pair.fire_key)
             progressed = True
         pending.extend(requeue)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InvalidPlaneError
@@ -20,12 +20,33 @@ _NAME_RE = re.compile(r"^[^\s#]+$")
 
 @dataclass(frozen=True)
 class Plane:
+    """Points and stored lines.  The incidence indices are built on first
+    use, freed with the plane, and ignored by equality and hashing."""
+
     points: frozenset[str]
     lines: frozenset[frozenset[str]]
 
     @property
     def n_points(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def lines_through(self) -> dict[str, frozenset[frozenset[str]]]:
+        """point -> set of stored lines through it."""
+        index: dict[str, set[frozenset[str]]] = {p: set() for p in self.points}
+        for line in self.lines:
+            for p in line:
+                index[p].add(line)
+        return {p: frozenset(ls) for p, ls in index.items()}
+
+    @cached_property
+    def line_of_pair(self) -> dict[frozenset[str], frozenset[str]]:
+        """unordered pair -> the stored line through it, for covered pairs only."""
+        index: dict[frozenset[str], frozenset[str]] = {}
+        for line in self.lines:
+            for pair in _pairs(line):
+                index[pair] = line
+        return index
 
     def __repr__(self) -> str:  # keep test failure output readable
         pts = ",".join(sorted(self.points))
@@ -68,26 +89,6 @@ def validate(plane: Plane) -> None:
                 )
 
 
-@lru_cache(maxsize=None)
-def _lines_through(plane: Plane) -> dict[str, frozenset[frozenset[str]]]:
-    """point -> set of stored lines through it."""
-    index: dict[str, set[frozenset[str]]] = {p: set() for p in plane.points}
-    for line in plane.lines:
-        for p in line:
-            index[p].add(line)
-    return {p: frozenset(ls) for p, ls in index.items()}
-
-
-@lru_cache(maxsize=None)
-def _line_of_pair(plane: Plane) -> dict[frozenset[str], frozenset[str]]:
-    """unordered pair -> the stored line through it, for covered pairs only."""
-    index: dict[frozenset[str], frozenset[str]] = {}
-    for line in plane.lines:
-        for pair in _pairs(line):
-            index[pair] = line
-    return index
-
-
 def _pairs(points: Iterable[str]) -> Iterable[frozenset[str]]:
     pts = sorted(points)
     for i, p in enumerate(pts):
@@ -97,7 +98,7 @@ def _pairs(points: Iterable[str]) -> Iterable[frozenset[str]]:
 
 def line_through(plane: Plane, p: str, q: str) -> frozenset[str] | None:
     """The stored line through two distinct points, or None."""
-    return _line_of_pair(plane).get(frozenset((p, q)))
+    return plane.line_of_pair.get(frozenset((p, q)))
 
 
 def closure(plane: Plane, subset: Iterable[str]) -> frozenset[str]:
@@ -166,7 +167,7 @@ def is_subgeometry(sub: Plane, sup: Plane) -> bool:
 
 def rank2_flats(plane: Plane) -> frozenset[frozenset[str]]:
     """Stored lines plus the trivial pair flats not covered by any line."""
-    covered = _line_of_pair(plane)
+    covered = plane.line_of_pair
     trivial = frozenset(p for p in _pairs(plane.points) if p not in covered)
     return plane.lines | trivial
 
@@ -188,7 +189,7 @@ def is_wedge_subgeometry(sub: Plane, sup: Plane) -> bool:
         return False
     for p in sup.points - sub.points:
         based = sum(
-            1 for line in _lines_through(sup)[p] if len(line & sub.points) >= 2
+            1 for line in sup.lines_through[p] if len(line & sub.points) >= 2
         )
         if based >= 2:
             return False

@@ -8,8 +8,9 @@
     line p1 p2 p3
 
 One plane per file.  `points` may be repeated to split long point lists;
-`line` names three or more previously declared points.  Serialization is
-canonical: sorted points, lines sorted by their sorted point names.
+`line` names three or more previously declared points, and no point set
+twice.  Serialization is canonical: sorted points, lines sorted by their
+sorted point names.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def parse_plane(text: str) -> tuple[str, Plane]:
     name: str | None = None
     points: list[str] = []
     seen_points: set[str] = set()
-    lines: list[frozenset[str]] = []
+    lines: set[frozenset[str]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
@@ -63,7 +64,10 @@ def parse_plane(text: str) -> tuple[str, Plane]:
             undeclared = [p for p in args if p not in seen_points]
             if undeclared:
                 raise ParseError(f"undeclared points {undeclared}", lineno)
-            lines.append(frozenset(args))
+            line = frozenset(args)
+            if line in lines:
+                raise ParseError(f"line {' '.join(args)} declared twice", lineno)
+            lines.add(line)
         else:
             raise ParseError(f"unknown directive {keyword!r}", lineno)
 

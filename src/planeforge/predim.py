@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .errors import BudgetExceeded, PreconditionError, subset_budget
 from .flow import FlowNetwork
-from .plane import Plane, flats, rank
+from .plane import Plane, rank
 
 
 def _as_subset(plane: Plane, subset: Iterable[str] | None, what: str) -> frozenset[str]:
@@ -48,23 +48,20 @@ def delta_rel(plane: Plane, subset: Iterable[str], base: Iterable[str]) -> int:
 
 
 def alpha(plane: Plane, subset: Iterable[str] | None = None) -> int:
-    """Mason's alpha: |X| - rk(X) - sum of alpha over proper subflats."""
+    """Mason's alpha, in closed form.
+
+    Mason's recursion is alpha(X) = |X| - rk(X) - sum of alpha(F) over the
+    flats F properly inside X.  That sum collapses to
+
+        alpha(X) = |X| - rk(X) - sum of (|l| - 2) over stored lines l < X
+
+    because the empty flat, the points and the trivial two-point lines have
+    alpha 0; a stored line's proper subflats are the empty flat and its
+    points, so its alpha is its nullity |l| - 2; and the only other flat,
+    the ground set, never lies properly inside a subset of the plane.
+    """
     x = _as_subset(plane, subset, "alpha")
-    all_flats = sorted(flats(plane), key=len)
-    memo: dict[frozenset[str], int] = {}
-
-    def value(s: frozenset[str]) -> int:
-        got = memo.get(s)
-        if got is None:
-            got = len(s) - rank(plane, s) - sum(
-                memo[f] for f in all_flats if len(f) < len(s) and f < s
-            )
-            memo[s] = got
-        return got
-
-    for f in all_flats:  # increasing size, so dependencies are ready
-        value(f)
-    return value(x)
+    return len(x) - rank(plane, x) - sum(len(l) - 2 for l in plane.lines if l < x)
 
 
 # --- the min-delta engine ---------------------------------------------------

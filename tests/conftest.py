@@ -1,12 +1,22 @@
+import os
 import random
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+import planeforge
 from planeforge import Plane, make_plane
 
 DATA = Path(__file__).parent / "data"
+
+
+def library_env() -> dict:
+    """Environment for a child interpreter that imports this planeforge."""
+    src = os.path.dirname(os.path.dirname(planeforge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

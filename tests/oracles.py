@@ -61,3 +61,30 @@ def oracle_rank(plane, subset=None) -> int:
     if any(pts <= line for line in plane.lines):
         return 2
     return 3
+
+
+def oracle_flats(plane) -> list:
+    """Every flat, smallest first: subsets that adding any point would raise in rank."""
+    pts = sorted(plane.points)
+    out = []
+    for size in range(len(pts) + 1):
+        for combo in combinations(pts, size):
+            flat = frozenset(combo)
+            r = oracle_rank(plane, flat)
+            if all(oracle_rank(plane, flat | {p}) > r for p in plane.points - flat):
+                out.append(flat)
+    return out
+
+
+def oracle_alpha(plane, subset=None) -> int:
+    """Mason's recursion: alpha(X) = |X| - rk(X) - sum of alpha over flats F < X."""
+    x = plane.points if subset is None else frozenset(subset)
+    flats = oracle_flats(plane)
+    memo = {}
+
+    def value(s):
+        return len(s) - oracle_rank(plane, s) - sum(memo[f] for f in flats if f < s)
+
+    for flat in flats:  # smallest first, so every proper subflat is ready
+        memo[flat] = value(flat)
+    return value(x)

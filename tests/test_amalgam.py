@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from planeforge import (
@@ -7,6 +10,7 @@ from planeforge import (
     NotPrimitive,
     NotStrong,
     NotWedgeSubgeometry,
+    PlaneError,
     PreconditionError,
     StrongEmbedding,
     canonical_amalgam,
@@ -21,6 +25,9 @@ from planeforge import (
     restrict,
     sharp_step,
 )
+from planeforge import amalgam
+
+from .conftest import library_env
 
 
 def test_free_amalgam_disjoint(fig2):
@@ -210,3 +217,34 @@ def test_canonical_additivity_on_restrictions(fig2):
     shared = a & b
     out = canonical_amalgam(restrict(fig2, a), restrict(fig2, b), shared)
     assert delta(out.plane) == delta(fig2, a) + delta(fig2, b) - delta(fig2, shared)
+
+
+# One extra unit on every whole-plane delta breaks
+# delta(out) = delta(a) + delta(b) - delta(a, C) in canonical_amalgam.
+BROKEN_ADDITIVITY = """
+from planeforge import PlaneError, amalgam, canonical_amalgam, make_plane
+real = amalgam.delta
+amalgam.delta = lambda plane, subset=None: real(plane, subset) + (subset is None)
+try:
+    canonical_amalgam(make_plane("pqx"), make_plane("pqy"), frozenset("pq"))
+except PlaneError as exc:
+    print(exc)
+"""
+
+
+def test_broken_additivity_raises(monkeypatch):
+    real = amalgam.delta
+    monkeypatch.setattr(
+        amalgam, "delta", lambda plane, subset=None: real(plane, subset) + (subset is None)
+    )
+    with pytest.raises(PlaneError, match="additivity"):
+        canonical_amalgam(make_plane("pqx"), make_plane("pqy"), frozenset("pq"))
+
+
+def test_broken_additivity_raises_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_ADDITIVITY],
+        capture_output=True, text=True, env=library_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "broke predimension additivity" in proc.stdout

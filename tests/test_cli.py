@@ -1,9 +1,13 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from planeforge import parse_plane, read_plane
 from planeforge.cli import main
 
-from .conftest import DATA
+from .conftest import DATA, library_env
 
 ND10 = str(DATA / "nd10.plane")
 FIG2 = str(DATA / "fig2.plane")
@@ -49,6 +53,36 @@ def test_parse_error_exit_two(tmp_path, capsys):
     assert out == ""
     assert err.startswith("parse error: line 2:")
     assert err.count("line 2") == 1
+
+
+def test_duplicate_line_exit_two(tmp_path, capsys):
+    bad = tmp_path / "dup.plane"
+    bad.write_text("plane d\npoints a b c\nline a b c\nline a b c\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: line 4:")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # stdout buffered or not: the failed write surfaces in main either way
+    env = library_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    script = "import sys; from planeforge.cli import main; sys.exit(main())"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "census", "3"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 2
 
 
 def test_missing_file_exit_two(capsys):

@@ -1,7 +1,11 @@
+import gc
+import weakref
+
 import pytest
 
 from planeforge import (
     InvalidPlaneError,
+    canonical_key,
     closure,
     flats,
     is_induced_subplane,
@@ -96,6 +100,16 @@ def test_rank2_flats_counts(fano):
 def test_line_through(fig2):
     assert line_through(fig2, "a", "d") == frozenset("adf")
     assert line_through(fig2, "a", "b") is None
+
+
+def test_incidence_indices_die_with_their_plane():
+    plane = make_plane("abcdef", ["abc", "cde"])
+    assert line_through(plane, "a", "b") == frozenset("abc")
+    canonical_key(plane)
+    ref = weakref.ref(plane)
+    del plane
+    gc.collect()
+    assert ref() is None
 
 
 def test_lines_based_in(fig2):

@@ -43,6 +43,8 @@ line a b c
         ("plane t\nfoo a", "unknown directive", 2),
         ("plane t u", "expected: plane", 1),
         ("plane t\npoints", "empty points", 2),
+        ("plane d\npoints a b c\nline a b c\nline a b c", "line a b c declared twice", 4),
+        ("plane d\npoints a b c\nline a b c\nline c a b", "line c a b declared twice", 4),
     ],
 )
 def test_parse_errors(text, fragment, lineno):

@@ -12,17 +12,20 @@ from planeforge import (
     d_value,
     delta,
     delta_rel,
+    enumerate_planes,
     icl,
     in_K0,
     is_k_strong,
     is_strong,
     make_plane,
+    non_desarguesian_plane,
     predim_report,
     rank,
 )
 
 from .conftest import random_plane
 from .oracles import (
+    oracle_alpha,
     oracle_d_value,
     oracle_delta,
     oracle_icl,
@@ -248,6 +251,23 @@ def test_alpha_shift_identity_on_rank3_planes():
     one_line = make_plane("abcd", [["a", "b", "c", "d"]])
     assert delta(one_line) == 2
     assert alpha(one_line) == 2  # whole ground set is the line, no proper flat pays
+
+
+def test_alpha_matches_mason_recursion():
+    rng = random.Random(17)
+    planes = enumerate_planes(7) + [non_desarguesian_plane()]
+    planes += [random_plane(rng, max_points=10) for _ in range(300)]
+    checked = 0
+    for plane in planes:
+        pts = sorted(plane.points)
+        subsets = [None, *plane.lines]
+        subsets += [frozenset(rng.sample(pts, rng.randint(0, len(pts)))) for _ in range(4)]
+        for x in subsets:
+            assert alpha(plane, x) == oracle_alpha(plane, x), (plane, x)
+            checked += 1
+        if rank(plane) == 3:
+            assert delta(plane) == alpha(plane) + 3
+    assert checked > 2000
 
 
 def test_k_strong_agrees_with_brute_force():
