@@ -21,7 +21,6 @@ CENSUS_CAP = 7
 EXTENSION_CAP = 4
 
 _census_cache: dict[int, list[Plane]] = {}
-_extension_cache: dict[tuple, list[Plane]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +338,10 @@ def enumerate_strong_extensions(base: Plane, k: int) -> list[Plane]:
     """Strong extension classes of ``base`` by at most ``k`` new points.
 
     Returns proper extensions B (at least one new point, named n1, n2, ...)
-    with base strong in B and B hereditarily nonnegative, one representative
-    per isomorphism over the base (base points fixed pointwise), in a stable
-    order.  Guarded at 4 new points.
+    with base strong in B, one representative per isomorphism over the base
+    (base points fixed pointwise), in a stable order.  Every B is
+    hereditarily nonnegative, since it is strong over a base that is.
+    Guarded at 4 new points.
     """
     if k > EXTENSION_CAP:
         raise BudgetExceeded(
@@ -353,12 +353,6 @@ def enumerate_strong_extensions(base: Plane, k: int) -> list[Plane]:
     if not in_K0(base):
         raise PreconditionError("base plane is not hereditarily nonnegative")
 
-    # Keyed on the exact plane: isomorphic bases on the same point set can
-    # still differ in their labeled lines, and extensions fix base points.
-    cache_key = (base, k)
-    if cache_key in _extension_cache:
-        return list(_extension_cache[cache_key])
-
     found: dict[tuple, Plane] = {}
     for m in range(1, k + 1):
         new = _fresh_names(base, m)
@@ -368,12 +362,10 @@ def enumerate_strong_extensions(base: Plane, k: int) -> list[Plane]:
             key = _over_base_key(base, new, lines)
             if key in found:
                 continue
-            if not in_K0(plane):
-                continue
+            # No in_K0 check: by submodularity, delta(X) >= delta(X | base)
+            # - delta(base) + delta(X & base) >= 0 for every X once base is
+            # strong in plane and in K0.
             if not is_strong(plane, base.points):
                 continue
             found[key] = plane
-    ordered = sorted(found.items(), key=lambda kv: kv[0])
-    result = [p for _, p in ordered]
-    _extension_cache[cache_key] = result
-    return list(result)
+    return [p for _, p in sorted(found.items(), key=lambda kv: kv[0])]

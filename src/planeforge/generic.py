@@ -81,16 +81,9 @@ class ExtensionChain:
 
 @dataclass(frozen=True)
 class _TypePair:
-    base_size: int
-    new_size: int
     base_key: tuple
     base_label: dict  # canonical labelling of the base representative
-    ext_index: int
     template: Plane
-
-    @property
-    def fire_key(self):
-        return (self.base_key, self.new_size, self.ext_index)
 
 
 class _Builder:
@@ -145,28 +138,29 @@ class _Builder:
 
 
 def _tier_pairs(tier: int, ext_bound: int) -> list[_TypePair]:
-    """Extension situations whose larger side first reaches ``tier``."""
+    """Extension situations whose larger side first reaches ``tier``.
+
+    Ordered by base size, then new size, then census base, then template.
+    Each base is labelled and extended once; the extension bound is capped
+    at the tier because no situation here adds more points than that.
+    """
     pairs: list[_TypePair] = []
     for base_size in range(0, tier + 1):
-        for new_size in range(1, ext_bound + 1):
-            if max(base_size, new_size) != tier:
-                continue
-            for base in exact_census(base_size):
-                base_key, base_label = canonical_labeling(base)
-                exts = enumerate_strong_extensions(base, ext_bound)
-                for ext_index, template in enumerate(exts):
-                    if len(template.points) - base_size != new_size:
-                        continue
-                    pairs.append(
-                        _TypePair(
-                            base_size=base_size,
-                            new_size=new_size,
-                            base_key=base_key,
-                            base_label=base_label,
-                            ext_index=ext_index,
-                            template=template,
-                        )
-                    )
+        new_sizes = [
+            n for n in range(1, ext_bound + 1) if max(base_size, n) == tier
+        ]
+        if not new_sizes:
+            continue
+        extended = []
+        for base in exact_census(base_size):
+            base_key, base_label = canonical_labeling(base)
+            exts = enumerate_strong_extensions(base, min(tier, ext_bound))
+            extended.append((base_key, base_label, exts))
+        for new_size in new_sizes:
+            for base_key, base_label, exts in extended:
+                for template in exts:
+                    if len(template.points) - base_size == new_size:
+                        pairs.append(_TypePair(base_key, base_label, template))
     return pairs
 
 
@@ -201,7 +195,6 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
         builder.fire(empty_key, {}, seed)
 
     pending: deque = deque()
-    fired = set()
     tier = 0
     tiers_left = True
     while len(builder.records) < steps:
@@ -209,13 +202,10 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
         requeue = []
         while pending and len(builder.records) < steps:
             pair = pending.popleft()
-            if pair.fire_key in fired:
-                continue
             if pair.base_key not in builder.instances:
                 requeue.append(pair)
                 continue
             builder.fire(pair.base_key, pair.base_label, pair.template)
-            fired.add(pair.fire_key)
             progressed = True
         pending.extend(requeue)
         if len(builder.records) >= steps:

@@ -62,12 +62,12 @@ def make_plane(points: Iterable[str], lines: Iterable[Iterable[str]] = ()) -> Pl
 def validate(plane: Plane) -> None:
     """Raise InvalidPlaneError unless the incidence data is structurally sound.
 
-    Checks: point names are nonempty, whitespace-free and not comment-like;
-    every line is a subset of the point set with at least 3 points; two
-    distinct lines meet in at most one point.
+    Checks: point names are nonempty, printable, whitespace-free and not
+    comment-like; every line is a subset of the point set with at least 3
+    points; two distinct lines meet in at most one point.
     """
     for p in plane.points:
-        if not isinstance(p, str) or not _NAME_RE.match(p):
+        if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable()):
             raise InvalidPlaneError(f"bad point name: {p!r}")
     for line in plane.lines:
         if len(line) < 3:
@@ -187,10 +187,10 @@ def is_wedge_subgeometry(sub: Plane, sup: Plane) -> bool:
     closures = [closure(sup, flat) for flat in rank2_flats(sub)]
     if len(set(closures)) != len(closures):
         return False
-    for p in sup.points - sub.points:
-        based = sum(
-            1 for line in sup.lines_through[p] if len(line & sub.points) >= 2
-        )
-        if based >= 2:
+    seen: set[str] = set()
+    for line in lines_based_in(sup, sub.points):
+        outside = line - sub.points
+        if outside & seen:
             return False
+        seen |= outside
     return True

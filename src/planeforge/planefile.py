@@ -82,6 +82,8 @@ def read_plane(path: str | os.PathLike[str]) -> tuple[str, Plane]:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
     return parse_plane(text)
 
 

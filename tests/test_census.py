@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -22,6 +24,7 @@ from planeforge import (
 from planeforge.census import CENSUS_CAP, EXTENSION_CAP
 
 from .conftest import random_plane
+from .oracles import oracle_in_K0, oracle_is_strong
 
 EXACT_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 10}
 
@@ -186,6 +189,28 @@ def test_extension_guards():
 
     with pytest.raises(PreconditionError):
         enumerate_strong_extensions(AG23, 1)
+
+
+def test_extensions_pass_independent_oracles():
+    # Templates are kept for being strong over a K0 base; the oracles check
+    # that and the K0 membership it implies, without the flow engine.
+    checked = 0
+    for base in enumerate_planes(4):
+        for k in (1, 2):
+            for template in enumerate_strong_extensions(base, k):
+                assert oracle_in_K0(template), (base, template)
+                assert oracle_is_strong(template, base.points), (base, template)
+                checked += 1
+    assert checked > 100
+
+
+def test_extensions_do_not_pin_their_base():
+    base = make_plane("abcd", ["abc"])
+    assert enumerate_strong_extensions(base, 1)
+    ref = weakref.ref(base)
+    del base
+    gc.collect()
+    assert ref() is None
 
 
 def test_extension_determinism():

@@ -64,6 +64,15 @@ def test_duplicate_line_exit_two(tmp_path, capsys):
     assert err.startswith("parse error: line 4:")
 
 
+def test_non_utf8_file_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bytes.plane"
+    bad.write_bytes(b"plane b\npoints a\xff\n")
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: cannot read")
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_closed_pipe_exits_quietly(unbuffered):
     # stdout buffered or not: the failed write surfaces in main either way

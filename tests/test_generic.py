@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import planeforge.generic as generic_mod
@@ -25,6 +27,7 @@ from planeforge import (
     witness_weak_ei,
 )
 from planeforge.generic import plane_label
+from planeforge.planefile import serialize_plane
 
 from .test_predim import AG23
 
@@ -114,6 +117,36 @@ def test_build_seed_validation():
 def test_build_seed_respects_step_budget(nd10):
     chain = build_generic(0, 2, seeds=[nd10])
     assert chain.steps == ()
+
+
+def _chain_digest(chain) -> str:
+    h = hashlib.sha256()
+    for i, stage in enumerate(chain.stages):
+        h.update(serialize_plane(f"s{i}", stage).encode())
+    for step in chain.steps:
+        h.update(
+            repr((sorted(step.base), sorted(step.added), step.template_label)).encode()
+        )
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "steps, ext_bound, digest",
+    [
+        # (base size, new size) up to (4, 2): several bases and new sizes interleave
+        (60, 2, "cb6e491778eb8579dad019551bbeb9c45cc2df74e2edac450768afac99df1263"),
+        # (base size, new size) through (0, 3) ... (3, 3)
+        (120, 3, "d489acff3ec263063565743d98ad4f9c4f1f3aba784e54a2286ef1ac5cca3356"),
+    ],
+)
+def test_build_firing_order_is_pinned(steps, ext_bound, digest):
+    # Every stage and every (base, added, template) step, in firing order.
+    assert _chain_digest(build_generic(steps, ext_bound)) == digest
+
+
+def test_build_stages_keep_no_incidence_index(nd10):
+    chain = build_generic(200, 2, seeds=[nd10])
+    assert not any("lines_through" in stage.__dict__ for stage in chain.stages)
 
 
 # --- genericity audit -----------------------------------------------------------

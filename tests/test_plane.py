@@ -1,5 +1,7 @@
 import gc
+import random
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -53,6 +55,8 @@ def test_validate_rejects_bad_names():
         validate(make_plane(["a", "b c"]))
     with pytest.raises(InvalidPlaneError):
         validate(make_plane(["a", "#b"]))
+    with pytest.raises(InvalidPlaneError):
+        validate(make_plane(["a", "b", "c\x00"]))
 
 
 def test_closure_cases(fano):
@@ -163,3 +167,66 @@ def test_wedge_accepts_strong_style_subs():
     sup = make_plane("abcq", [["a", "b", "c"]])
     sub = make_plane("abc", ["abc"])
     assert is_wedge_subgeometry(sub, sup)
+
+
+def _direct_wedge(sub, sup) -> bool:
+    """is_wedge_subgeometry stated straight from its definition."""
+    if not sub.points <= sup.points:
+        return False
+    if not all(any(l <= m for m in sup.lines) for l in sub.lines):
+        return False
+
+    def sub_flat(pair):  # the rank-2 flat of sub through a pair
+        return next((l for l in sub.lines if pair <= l), pair)
+
+    def sup_closure(flat):  # the smallest flat of sup containing it
+        return next((m for m in sup.lines if flat <= m), flat)
+
+    flats2 = {sub_flat(frozenset(pair)) for pair in combinations(sub.points, 2)}
+    closures = [sup_closure(f) for f in flats2]
+    # (a) distinct rank-2 flats have distinct closures
+    if len(set(closures)) != len(closures):
+        return False
+    # (b) no outside point lies on two of those closures
+    return all(
+        sum(1 for c in closures if p in c) < 2 for p in sup.points - sub.points
+    )
+
+
+def _random_lines(rng, pts, tries):
+    """Random 3- and 4-point lines over pts, any two sharing at most one point."""
+    lines, taken = [], set()
+    for _ in range(tries):
+        if len(pts) < 3:
+            break
+        cand = frozenset(rng.sample(pts, rng.randint(3, min(4, len(pts)))))
+        pairs = {frozenset(pq) for pq in combinations(cand, 2)}
+        if not pairs & taken:
+            taken |= pairs
+            lines.append(cand)
+    return lines
+
+
+def test_wedge_matches_direct_definition():
+    # Dense sups and large subs, so that (a), (b) and the subgeometry
+    # condition each fail on some of the 300 pairs.
+    rng = random.Random(40713)
+    verdicts = []
+    for i in range(300):
+        pts = [f"p{j}" for j in range(rng.randint(0, 9))]
+        sup = make_plane(pts, _random_lines(rng, pts, 3 * len(pts)))
+        chosen = frozenset(rng.sample(pts, rng.randint(len(pts) // 2, len(pts))))
+        if i % 3 == 0:  # induced subplane
+            sub = restrict(sup, chosen)
+        elif i % 3 == 1:  # subgeometry: some line traces, possibly shrunk
+            traces = [sorted(l & chosen) for l in sup.lines if len(l & chosen) >= 3]
+            sub = make_plane(
+                chosen,
+                [t[: rng.randint(3, len(t))] for t in traces if rng.random() < 0.6],
+            )
+        else:  # lines of its own, often not inside any sup line
+            sub = make_plane(chosen, _random_lines(rng, sorted(chosen), len(chosen)))
+        got = is_wedge_subgeometry(sub, sup)
+        assert got == _direct_wedge(sub, sup), (sub, sup)
+        verdicts.append(got)
+    assert 30 <= sum(verdicts) <= 270
