@@ -5,6 +5,10 @@ integer capacities (math.inf allowed), max_flow value, and the source
 side of a minimum cut read off the final residual graph.  The source-side
 extraction deliberately returns the *inclusion-minimal* cut: nodes
 reachable from the source via positive residual capacity.
+
+A network may grow after max_flow: new nodes and arcs leave the flow found
+so far feasible, and the next max_flow call augments from the residual
+graph and returns only the increment.
 """
 
 from __future__ import annotations
@@ -20,6 +24,12 @@ class FlowNetwork:
         self._to: list[int] = []
         self._cap: list[float] = []
         self._adj: list[list[int]] = [[] for _ in range(n_nodes)]
+
+    def add_node(self) -> int:
+        """Append an isolated node and return its index."""
+        self._adj.append([])
+        self.n += 1
+        return self.n - 1
 
     def add_edge(self, u: int, v: int, cap: float) -> None:
         self._adj[u].append(len(self._to))

@@ -6,15 +6,18 @@ through extension situations at the level of isomorphism types: a situation
 is a pair (base type, extension class), and firing one glues a fresh copy of
 the class onto a cached strong subset of that type via canonical
 amalgamation.  Types are swept in tiers ordered by size, so every situation
-is reached after finitely many steps.  check_genericity measures how much of
-that closure a finished stage actually exhibits.
+is reached after finitely many steps.  Tiers are generated lazily, one
+situation at a time, so a build that stops inside a tier never enumerates
+the rest of it; and each step checks K0 by resuming one warm flow network
+rather than solving the whole stage afresh.  check_genericity measures how
+much of that closure a finished stage actually exhibits.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 from .amalgam import canonical_amalgam, classify_primitive, decompose, is_primitive
@@ -35,7 +38,7 @@ from .errors import (
     guard_subsets,
 )
 from .plane import Plane, line_through, make_plane, restrict, validate
-from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
+from .predim import GrowingK0, alpha, d_rel, d_value, delta, icl, in_K0, is_strong
 
 ICL_SWEEP_CAP = 200_000
 
@@ -95,6 +98,7 @@ class _Builder:
         self.counter = 0
         # type key -> (instance points, map canonical-label -> stage point)
         self.instances: dict = {}
+        self.k0 = GrowingK0()  # starts at the empty stage
         self._register(frozenset())
 
     def _register(self, image: frozenset) -> None:
@@ -120,7 +124,7 @@ class _Builder:
         new_stage = result.plane
         if not is_strong(new_stage, self.stage.points):
             raise PlaneError("builder invariant broken: stage not strong in successor")
-        if not in_K0(new_stage):
+        if not self.k0.grow(new_stage):
             raise PlaneError("builder invariant broken: stage left K0")
         self.records.append(
             StepRecord(
@@ -137,31 +141,33 @@ class _Builder:
         self._register(frozenset(rename.values()))
 
 
-def _tier_pairs(tier: int, ext_bound: int) -> list[_TypePair]:
-    """Extension situations whose larger side first reaches ``tier``.
+def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
+    """Extension situations whose larger side first reaches ``tier``, lazily.
 
-    Ordered by base size, then new size, then census base, then template.
-    Each base is labelled and extended once; the extension bound is capped
-    at the tier because no situation here adds more points than that.
+    Yields in order of base size, then new size, then census base, then
+    template, computing each (new size, base) group only when it is reached,
+    so a build that stops early in a tier never pays for the rest.  Each
+    base is labelled once; a group keeps the templates of
+    ``enumerate_strong_extensions(base, new_size)`` with exactly
+    ``new_size`` new points, which redoes the smaller sizes but never
+    enumerates a larger one before it is needed.
     """
-    pairs: list[_TypePair] = []
     for base_size in range(0, tier + 1):
         new_sizes = [
             n for n in range(1, ext_bound + 1) if max(base_size, n) == tier
         ]
         if not new_sizes:
             continue
-        extended = []
-        for base in exact_census(base_size):
-            base_key, base_label = canonical_labeling(base)
-            exts = enumerate_strong_extensions(base, min(tier, ext_bound))
-            extended.append((base_key, base_label, exts))
+        bases = exact_census(base_size)
+        labels: dict[int, tuple] = {}
         for new_size in new_sizes:
-            for base_key, base_label, exts in extended:
-                for template in exts:
+            for i, base in enumerate(bases):
+                if i not in labels:
+                    labels[i] = canonical_labeling(base)
+                base_key, base_label = labels[i]
+                for template in enumerate_strong_extensions(base, new_size):
                     if len(template.points) - base_size == new_size:
-                        pairs.append(_TypePair(base_key, base_label, template))
-    return pairs
+                        yield _TypePair(base_key, base_label, template)
 
 
 def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
@@ -194,30 +200,37 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
             raise PreconditionError("seed template is not hereditarily nonnegative")
         builder.fire(empty_key, {}, seed)
 
-    pending: deque = deque()
+    # Each round offers every pushed-back pair once, in order, then the
+    # current tier's pairs as they are generated; a tier ends the sweep when
+    # its census is out of budget.
+    pending: list[_TypePair] = []
+    tier_pairs: Iterator[_TypePair] = iter(())
     tier = 0
     tiers_left = True
     while len(builder.records) < steps:
         progressed = False
-        requeue = []
-        while pending and len(builder.records) < steps:
-            pair = pending.popleft()
+        offered = chain(pending, tier_pairs)
+        pending = []
+        while len(builder.records) < steps:
+            try:
+                pair = next(offered, None)
+            except BudgetExceeded:
+                tiers_left = False
+                break
+            if pair is None:
+                break
             if pair.base_key not in builder.instances:
-                requeue.append(pair)
+                pending.append(pair)
                 continue
             builder.fire(pair.base_key, pair.base_label, pair.template)
             progressed = True
-        pending.extend(requeue)
         if len(builder.records) >= steps:
             break
         if not tiers_left and not progressed:
             break  # nothing fireable remains
         if tiers_left:
             tier += 1
-            try:
-                pending.extend(_tier_pairs(tier, ext_bound))
-            except BudgetExceeded:
-                tiers_left = False
+            tier_pairs = _tier_pairs(tier, ext_bound)
 
     return ExtensionChain(stages=tuple(builder.stages), steps=tuple(builder.records))
 

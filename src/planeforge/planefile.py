@@ -33,7 +33,10 @@ def parse_plane(text: str) -> tuple[str, Plane]:
     seen_points: set[str] = set()
     lines: set[frozenset[str]] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line; str.splitlines would also break at U+2028,
+    # U+0085 and \x1c-\x1e, even inside comments.  The "\r" of a CRLF file
+    # is stripped with the other trailing whitespace.
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         stmt = raw.split("#", 1)[0].strip()
         if not stmt:
             continue

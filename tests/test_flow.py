@@ -106,3 +106,40 @@ def test_source_side_is_a_min_cut():
         if t not in side:
             crossing = sum(c for u, v, c in edges if u in side and v not in side)
             assert crossing == value
+
+
+def test_add_node_returns_next_index():
+    net = FlowNetwork(2)
+    assert net.add_node() == 2
+    assert net.add_node() == 3
+    net.add_edge(0, 3, 2)
+    net.add_edge(3, 1, 1)
+    assert net.max_flow(0, 1) == 1
+
+
+def test_max_flow_resumes_after_growth():
+    # Grow a network in rounds, solving after each; the increments must add
+    # up to a fresh solve of the final network, and the residual graph must
+    # give the same inclusion-minimal cut side, which no max flow changes.
+    rng = random.Random(5)
+    for _ in range(60):
+        s, t = 0, 1
+        net = FlowNetwork(2)
+        edges = []
+        total = 0
+        for _ in range(rng.randint(1, 5)):
+            for _ in range(rng.randint(0, 3)):
+                net.add_node()
+            for _ in range(rng.randint(1, 6)):
+                u, v = rng.sample(range(net.n), 2)
+                c = rng.choice([0, 1, 2, 3, 5, inf])
+                if c == inf and (u == s or v == t):
+                    c = 4  # keep every source-sink path finite
+                edges.append((u, v, c))
+                net.add_edge(u, v, c)
+            total += net.max_flow(s, t)
+        fresh = FlowNetwork(net.n)
+        for u, v, c in edges:
+            fresh.add_edge(u, v, c)
+        assert total == fresh.max_flow(s, t)
+        assert net.source_side(s) == fresh.source_side(s)

@@ -144,6 +144,32 @@ def test_build_firing_order_is_pinned(steps, ext_bound, digest):
     assert _chain_digest(build_generic(steps, ext_bound)) == digest
 
 
+def test_build_ends_when_the_tiers_run_out():
+    # With ext_bound 1 every situation up to tier 7 fires, and tier 8 stops
+    # the sweep: its census is out of budget.
+    chain = build_generic(100_000, 1)
+    assert len(chain.steps) == 412
+    assert _chain_digest(chain) == (
+        "af42c34f9bef7b0c3b7017138b1cf34bb1b12cdceb6955cb0c1691168a380112"
+    )
+
+
+def test_tiers_are_enumerated_lazily(monkeypatch, nd10):
+    # This build stops inside tier 6's (base size 6, new size 1) group, so
+    # the 2-point extensions of 6-point bases are never needed.
+    calls = []
+    enumerate_exts = generic_mod.enumerate_strong_extensions
+
+    def counted(base, k):
+        calls.append((len(base.points), k))
+        return enumerate_exts(base, k)
+
+    monkeypatch.setattr(generic_mod, "enumerate_strong_extensions", counted)
+    build_generic(470, 2, seeds=[nd10])
+    assert (6, 1) in calls
+    assert (6, 2) not in calls
+
+
 def test_build_stages_keep_no_incidence_index(nd10):
     chain = build_generic(200, 2, seeds=[nd10])
     assert not any("lines_through" in stage.__dict__ for stage in chain.stages)

@@ -96,3 +96,23 @@ def test_round_trip(plane):
 @given(planes())
 def test_serialize_deterministic(plane):
     assert serialize_plane("x", plane) == serialize_plane("x", plane)
+
+
+@pytest.mark.parametrize("sep", ["\u2028", "\u0085", "\x1c", "\x1d", "\x1e"])
+def test_line_separators_inside_comments_stay_in_the_comment(sep):
+    text = f"plane x\npoints a b c\n# note{sep} more\nline a b c\n"
+    assert parse_plane(text) == ("x", make_plane("abc", ["abc"]))
+
+
+def test_crlf_file_parses():
+    text = "plane x\r\npoints a b c  # pts\r\nline a b c\r\n"
+    assert parse_plane(text) == ("x", make_plane("abc", ["abc"]))
+
+
+@pytest.mark.parametrize("sep", ["\n", "\r\n"])
+def test_error_line_numbers_count_newlines_only(sep):
+    lines = ["plane x", "# a b\x1cc\u0085d", "points a b c", "bogus a"]
+    with pytest.raises(ParseError) as exc:
+        parse_plane(sep.join(lines))
+    assert "unknown directive 'bogus'" in str(exc.value)
+    assert exc.value.lineno == 4

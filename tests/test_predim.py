@@ -1,13 +1,15 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from planeforge import (
     BudgetExceeded,
+    PlaneError,
     PreconditionError,
     alpha,
+    build_generic,
     d_rel,
     d_value,
     delta,
@@ -21,7 +23,9 @@ from planeforge import (
     non_desarguesian_plane,
     predim_report,
     rank,
+    restrict,
 )
+from planeforge.predim import GrowingK0
 
 from .conftest import random_plane
 from .oracles import (
@@ -285,3 +289,67 @@ def test_k_strong_agrees_with_brute_force():
                 for extra in combinations(free, size)
             )
             assert is_k_strong(plane, x, k) == expect
+
+
+# --- the warm K0 engine of a growing plane ---------------------------------------
+
+
+@pytest.mark.parametrize("steps, ext_bound, seeded", [(200, 2, True), (120, 3, False)])
+def test_growing_k0_agrees_on_every_build_stage(nd10, steps, ext_bound, seeded):
+    chain = build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
+    engine = GrowingK0()
+    for stage in chain.stages:
+        verdict = engine.grow(stage)
+        assert verdict == in_K0(stage)
+        if len(stage.points) <= 14:
+            assert verdict == oracle_in_K0(stage)
+
+
+def _pg23():
+    """The projective plane of order 3: 13 points, 13 four-point lines."""
+    # one vector per 1-dimensional subspace of GF(3)^3: first nonzero entry 1
+    vecs = [v for v in product(range(3), repeat=3) if any(v) and next(x for x in v if x) == 1]
+    name = {v: "".join(map(str, v)) for v in vecs}
+    lines = [
+        [name[p] for p in vecs if sum(a * b for a, b in zip(n, p)) % 3 == 0]
+        for n in vecs
+    ]
+    return make_plane(name.values(), lines)
+
+
+PG23 = _pg23()
+
+
+@pytest.mark.parametrize("plane", [AG23, PG23], ids=["AG23", "PG23"])
+@pytest.mark.parametrize("seed", range(4))
+def test_growing_k0_follows_a_plane_point_by_point(plane, seed):
+    # Start from a line and add the other points in a seeded order: the
+    # engine must turn False exactly where in_K0 does.  In PG(2,3) lines
+    # first appear as three-point traces and are extended later.
+    rng = random.Random(seed)
+    line = sorted(rng.choice(sorted(plane.lines, key=sorted)))
+    rest = sorted(plane.points - set(line))
+    rng.shuffle(rest)
+    engine = GrowingK0()
+    verdicts, expected = [], []
+    for k in range(len(line), len(plane.points) + 1):
+        stage = restrict(plane, (line + rest)[:k])
+        verdicts.append(engine.grow(stage))
+        expected.append(in_K0(stage))
+    assert verdicts == expected
+    assert expected[0] and not expected[-1]
+
+
+def test_growing_k0_rejects_a_successor_that_does_not_grow():
+    engine = GrowingK0()
+    assert engine.grow(make_plane("abcdef", ["abc"]))
+    with pytest.raises(PlaneError, match="no old line"):
+        engine.grow(make_plane("abcdefg", ["abc", "defg"]))  # a line through d, e, f
+    with pytest.raises(PlaneError, match="drops a line"):
+        engine.grow(make_plane("abcdefg", ["deg"]))
+    with pytest.raises(PlaneError, match="drops points"):
+        engine.grow(make_plane("abcdg", ["abcg"]))
+    # after a rejection the engine goes on from the last plane it accepted
+    grown = make_plane("abcdefg", ["abcg", "deg"])
+    assert engine.grow(grown) and in_K0(grown)
+    assert engine.points == grown.points
