@@ -82,14 +82,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_delta(args) -> int:
     _, plane = _load(args.plane)
-    subset = _subset(plane, args.subset, "--subset") if args.subset else None
+    subset = _subset(plane, args.subset, "--subset") if args.subset is not None else None
     print(f"delta: {delta(plane, subset)}")
     return 0
 
 
 def _cmd_alpha(args) -> int:
     _, plane = _load(args.plane)
-    subset = _subset(plane, args.subset, "--subset") if args.subset else None
+    subset = _subset(plane, args.subset, "--subset") if args.subset is not None else None
     print(f"alpha: {alpha(plane, subset)}")
     return 0
 
@@ -97,18 +97,19 @@ def _cmd_alpha(args) -> int:
 def _cmd_icl(args) -> int:
     _, plane = _load(args.plane)
     subset = _subset(plane, args.subset, "--subset")
-    within = _subset(plane, args.within, "--within") if args.within else None
+    within = _subset(plane, args.within, "--within") if args.within is not None else None
     closure = icl(plane, subset, within)
     print("icl: " + (" ".join(sorted(closure)) if closure else "-"))
     print(f"size: {len(closure)}")
-    print(f"frontier: {'true' if closure == (within or plane.points) else 'false'}")
+    frontier = plane.points if within is None else within
+    print(f"frontier: {'true' if closure == frontier else 'false'}")
     return 0
 
 
 def _cmd_strong(args) -> int:
     _, plane = _load(args.plane)
     subset = _subset(plane, args.subset, "--subset")
-    within = _subset(plane, args.within, "--within") if args.within else None
+    within = _subset(plane, args.within, "--within") if args.within is not None else None
     if args.k is not None:
         verdict = is_k_strong(plane, subset, args.k, within)
         print(f"k: {args.k}")
@@ -162,7 +163,7 @@ def _cmd_amalgamate(args) -> int:
 def _cmd_decompose(args) -> int:
     _, plane = _load(args.plane)
     lower = _subset(plane, args.lower, "--lower")
-    upper = _subset(plane, args.upper, "--upper") if args.upper else plane.points
+    upper = _subset(plane, args.upper, "--upper") if args.upper is not None else plane.points
     result = decompose(plane, lower, upper)
     print(f"length: {result.length}")
     print("chain: " + " | ".join(

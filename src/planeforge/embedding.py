@@ -1,8 +1,10 @@
 """Induced-copy search: embed one plane into another.
 
 An embedding here is always *induced*: the image carries exactly the lines
-of the source, no more (a stored line of the target may meet the image in
-at most two points unless it is the image of a source line).
+of the source, no more.  Two lines share at most one point, so a set of
+three or more points lies on one line exactly when every triple of it is
+collinear; an injective map is therefore induced exactly when each triple
+is collinear in the source if and only if its image is in the target.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import PreconditionError
-from .plane import Plane, line_through, restrict
+from .plane import Plane, line_through
 
 
 def _placement_order(sub: Plane, fixed: frozenset[str]) -> list[str]:
@@ -35,20 +37,21 @@ def _placement_order(sub: Plane, fixed: frozenset[str]) -> list[str]:
 
 
 def _consistent(sub: Plane, sup: Plane, mapping: dict[str, str], p: str) -> bool:
-    """Pairwise collinearity checks against all already-placed points."""
+    """Check the newly placed p against the other placed points.
+
+    A triple with p must be collinear in sub exactly when its image is in sup
+    (complete, see above); a pair with p on a stored line of sub must go to
+    a pair on one of sup (implied at the leaves, kept to prune early).
+    """
     q = mapping[p]
-    image = set(mapping.values())
-    for p2, q2 in mapping.items():
-        if p2 == p:
-            continue
-        sub_line = line_through(sub, p, p2)
-        sup_line = line_through(sup, q, q2)
-        if sub_line is not None and sup_line is None:
+    placed = [(p2, q2) for p2, q2 in mapping.items() if p2 != p]
+    for i, (p2, q2) in enumerate(placed):
+        sub_line = line_through(sub, p, p2) or frozenset()
+        sup_line = line_through(sup, q, q2) or frozenset()
+        if sub_line and not sup_line:
             return False
-        if sub_line is None and sup_line is not None:
-            # a free pair may share a target line, but never a third image point
-            if sum(1 for r in sup_line if r in image) > 2:
-                return False
+        if any((p3 in sub_line) != (q3 in sup_line) for p3, q3 in placed[i + 1 :]):
+            return False
     return True
 
 
@@ -72,12 +75,7 @@ def embeddings(
 
     def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
         if i == len(order):
-            image = frozenset(mapping.values())
-            want = frozenset(
-                frozenset(mapping[p] for p in line) for line in sub.lines
-            )
-            if restrict(sup, image).lines == want:
-                yield dict(mapping)
+            yield dict(mapping)
             return
         p = order[i]
         for q in sorted(sup.points - used):

@@ -5,7 +5,7 @@ the definitions, sharing no code with the flow-based engine.  Exponential on
 purpose — only run these on small planes.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 
 def oracle_delta(plane, subset=None) -> int:
@@ -88,3 +88,23 @@ def oracle_alpha(plane, subset=None) -> int:
     for flat in flats:  # smallest first, so every proper subflat is ready
         memo[flat] = value(flat)
     return value(x)
+
+
+def oracle_embeddings(sub, sup, fixed=None) -> list:
+    """Every induced embedding of sub into sup extending `fixed`.
+
+    Tries each injective map and keeps it when the traces of sup's lines on
+    the image with three or more points are exactly the images of sub's lines.
+    """
+    fixed = dict(fixed or {})
+    src = sorted(sub.points)
+    out = []
+    for target in permutations(sorted(sup.points), len(src)):
+        mapping = dict(zip(src, target))
+        if any(mapping[p] != q for p, q in fixed.items()):
+            continue
+        image = frozenset(target)
+        traces = {line & image for line in sup.lines if len(line & image) >= 3}
+        if traces == {frozenset(mapping[p] for p in line) for line in sub.lines}:
+            out.append(mapping)
+    return out

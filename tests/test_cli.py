@@ -125,6 +125,40 @@ def test_alpha(capsys):
     assert out == "alpha: -2\n"
 
 
+# An empty or blank subset option names the empty set, never "omitted".
+BLANKS = pytest.mark.parametrize("blank", ["", " "], ids=["empty", "blank"])
+
+
+@BLANKS
+def test_delta_empty_subset(capsys, blank):
+    assert run(capsys, "delta", FIG2, "--subset", blank) == (0, "delta: 0\n", "")
+
+
+@BLANKS
+def test_alpha_empty_subset(capsys, blank):
+    assert run(capsys, "alpha", FANO, "--subset", blank) == (0, "alpha: 0\n", "")
+
+
+@BLANKS
+def test_icl_empty_within(capsys, blank):
+    code, out, _ = run(capsys, "icl", FANO, "--subset", blank, "--within", blank)
+    assert (code, out) == (0, "icl: -\nsize: 0\nfrontier: true\n")
+
+
+@BLANKS
+def test_strong_empty_within(tmp_path, capsys, blank):
+    # the empty set is not strong in AG(2,3) (delta -3), but it is in itself
+    ag23 = write_ag23(tmp_path)
+    code, out, _ = run(capsys, "strong", ag23, "--subset", blank, "--within", blank)
+    assert (code, out) == (0, "strong: true\n")
+
+
+@BLANKS
+def test_decompose_empty_upper(capsys, blank):
+    code, out, _ = run(capsys, "decompose", FIG2, "--lower", blank, "--upper", blank)
+    assert (code, out) == (0, "length: 0\nchain: -\n")
+
+
 def test_icl_frontier(capsys):
     code, out, _ = run(capsys, "icl", FANO, "--subset", "1")
     assert code == 0
@@ -178,14 +212,18 @@ def test_report(capsys):
     assert "violating_subset: -" in out
 
 
-def test_report_flags_violations(tmp_path, capsys):
+def write_ag23(tmp_path) -> str:
     ag = tmp_path / "ag23.plane"
     lines = ["123", "456", "789", "147", "258", "369", "159", "267", "348", "357", "168", "249"]
     ag.write_text(
         "plane ag23\npoints 1 2 3 4 5 6 7 8 9\n"
         + "".join("line " + " ".join(l) + "\n" for l in lines)
     )
-    code, out, _ = run(capsys, "report", str(ag))
+    return str(ag)
+
+
+def test_report_flags_violations(tmp_path, capsys):
+    code, out, _ = run(capsys, "report", write_ag23(tmp_path))
     assert code == 1
     assert "in_K0: false" in out
     assert "violating_subset: 1 2 3 4 5 6 7 8 9" in out

@@ -1,17 +1,22 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import planeforge.embedding as embedding_module
 from planeforge import (
     PreconditionError,
     are_isomorphic,
     embeddings,
+    enumerate_planes,
     find_embedding,
     make_plane,
+    restrict,
 )
 
 from .conftest import random_plane
+from .oracles import oracle_embeddings
 from .test_predim import AG23
 
 
@@ -109,8 +114,6 @@ def test_embeddings_are_induced(seed):
     rng = random.Random(seed)
     sup = random_plane(rng, max_points=8)
     sub_pts = frozenset(p for p in sorted(sup.points) if rng.random() < 0.5)
-    from planeforge import restrict
-
     sub = restrict(sup, sub_pts)
     seen = 0
     for m in embeddings(sub, sup):
@@ -122,3 +125,75 @@ def test_embeddings_are_induced(seed):
         if seen >= 20:
             break
     assert seen >= 1  # the identity embedding always exists
+
+
+def _seeded_cases():
+    """(sub, sup, fixed) triples small enough for the brute-force oracle.
+
+    Census planes of at most four points go into seeded census targets of
+    five to seven points; then come seeded random pairs, half of them an
+    induced subplane and its host, each followed by fixed prefixes that are
+    drawn at random (often contradictory), map two points to one target
+    (never injective) or agree with the identity.
+    """
+    rng = random.Random(5)
+    targets = rng.sample([p for p in enumerate_planes(7) if p.n_points >= 5], 6)
+    for sub in enumerate_planes(4):
+        for sup in targets:
+            yield sub, sup, None
+    for _ in range(100):
+        sup = random_plane(rng, max_points=7)
+        if rng.random() < 0.5:
+            pts = sorted(sup.points)
+            sub = restrict(sup, rng.sample(pts, rng.randint(0, min(5, len(pts)))))
+        else:
+            sub = random_plane(rng, max_points=5)
+        yield sub, sup, None
+        if not sub.points or sub.n_points > sup.n_points:
+            continue
+        images = sorted(sup.points)
+        keys = rng.sample(sorted(sub.points), rng.randint(1, min(3, sub.n_points)))
+        yield sub, sup, {p: rng.choice(images) for p in keys}
+        if len(keys) >= 2:
+            yield sub, sup, {keys[0]: images[0], keys[1]: images[0]}
+        if sub.points <= sup.points:
+            yield sub, sup, {p: p for p in keys}
+
+
+def _as_items(mappings):
+    return [sorted(m.items()) for m in mappings]
+
+
+def test_embeddings_match_oracle():
+    for sub, sup, fixed in _seeded_cases():
+        got = _as_items(embeddings(sub, sup, fixed))
+        want = _as_items(oracle_embeddings(sub, sup, fixed))
+        assert sorted(got) == sorted(want), (sub, sup, fixed)
+
+
+def test_enumeration_order_is_pinned():
+    # The digest fixes which embedding comes first, and so what
+    # find_embedding returns and what `planeforge embed` prints.
+    digest = hashlib.sha256()
+    for sub, sup, fixed in _seeded_cases():
+        digest.update(repr(_as_items(embeddings(sub, sup, fixed))).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == "3f1acd1ce8fedcea4d6a510f10534df19ade604203c6f5173e89486c871c854c"
+
+
+def test_search_prunes_dense_targets(monkeypatch, fano):
+    # Every pair of AG(2,3) lies on a line, so pair tests alone never prune.
+    calls = 0
+    consistent = embedding_module._consistent
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return consistent(*args)
+
+    monkeypatch.setattr(embedding_module, "_consistent", counted)
+    assert find_embedding(fano, AG23) is None
+    assert calls <= 20_000
+    calls = 0
+    assert count(embeddings(AG23, AG23)) == 432
+    assert calls <= 20_000
