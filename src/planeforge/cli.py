@@ -3,7 +3,8 @@
 Exit codes partition outcomes: 0 for success or a true verdict, 1 for a
 false/failed verdict (not strong, not in K0, no embedding, unrealized
 classes, invalid plane under `validate`), 2 for parse or precondition
-errors.  Nothing verdict-shaped is printed on exit 2.  Reports are
+errors.  Nothing verdict-shaped is printed on exit 2: verbs with
+``--output`` write their files before printing their report.  Reports are
 line-oriented ``key: value`` text so shell harnesses can grep them.
 """
 
@@ -142,21 +143,21 @@ def _cmd_amalgamate(args) -> int:
         print(f"exchange_violation: {exc}")
         return 1
     merged = result.plane
+    identified = sorted(
+        (tuple(sorted(la)), tuple(sorted(lb))) for la, lb in result.identified_lines
+    )
+    if args.output:
+        trailer = [f"identified: {' '.join(la)} == {' '.join(lb)}" for la, lb in identified]
+        _write_plane(args.output, f"{name_a}-{args.mode}-{name_b}", merged, trailer)
     print(f"amalgam: {args.mode}")
     print(f"points: {len(merged.points)}")
     print(f"lines: {len(merged.lines)}")
     print(f"delta: {delta(merged)}")
-    identified = sorted(
-        (tuple(sorted(la)), tuple(sorted(lb))) for la, lb in result.identified_lines
-    )
     if identified:
         for la, lb in identified:
             print(f"identified: {' '.join(la)} == {' '.join(lb)}")
     else:
         print("identified: -")
-    if args.output:
-        trailer = [f"identified: {' '.join(la)} == {' '.join(lb)}" for la, lb in identified]
-        _write_plane(args.output, f"{name_a}-{args.mode}-{name_b}", merged, trailer)
     return 0
 
 
@@ -190,9 +191,6 @@ def _cmd_embed(args) -> int:
 
 def _cmd_census(args) -> int:
     planes = enumerate_planes(args.size)
-    print(f"count: {len(planes)}")
-    for i, plane in enumerate(planes):
-        print(f"plane_{i}: {plane_label(plane)}")
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         for i, plane in enumerate(planes):
@@ -201,17 +199,15 @@ def _cmd_census(args) -> int:
                 f"census-{i:03d}",
                 plane,
             )
+    print(f"count: {len(planes)}")
+    for i, plane in enumerate(planes):
+        print(f"plane_{i}: {plane_label(plane)}")
     return 0
 
 
 def _cmd_build(args) -> int:
     seeds = [non_desarguesian_plane()] if args.seed_fixtures else []
     chain = build_generic(args.steps, args.ext_bound, seeds=seeds)
-    final = chain.final
-    print(f"steps: {len(chain.steps)}")
-    print(f"points: {len(final.points)}")
-    print(f"lines: {len(final.lines)}")
-    print(f"delta: {delta(final)}")
     if args.output:
         os.makedirs(args.output, exist_ok=True)
         for i, stage in enumerate(chain.stages):
@@ -240,6 +236,11 @@ def _cmd_build(args) -> int:
             )
         with open(os.path.join(args.output, "chain.log"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
+    final = chain.final
+    print(f"steps: {len(chain.steps)}")
+    print(f"points: {len(final.points)}")
+    print(f"lines: {len(final.lines)}")
+    print(f"delta: {delta(final)}")
     return 0
 
 
@@ -263,13 +264,13 @@ def _cmd_witness(args) -> int:
     else:
         known = ", ".join(sorted(WITNESSES) + ["morley-chain:<k>"])
         raise PreconditionError(f"unknown witness {name!r} (known: {known})")
-    print(bundle.text())
     if args.output:
         trailer = [
             ("PASS " if passed else "FAIL ") + description
             for description, passed in bundle.assertions
         ]
         _write_plane(args.output, bundle.name, bundle.plane, trailer)
+    print(bundle.text())
     return 0 if bundle.ok else 1
 
 

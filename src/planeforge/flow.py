@@ -6,6 +6,11 @@ side of a minimum cut read off the final residual graph.  The source-side
 extraction deliberately returns the *inclusion-minimal* cut: nodes
 reachable from the source via positive residual capacity.
 
+Each phase's BFS stops as soon as it levels the sink.  Every shallower
+level is complete by then, and no node at the sink's depth or deeper lies
+on a shortest augmenting path, so the phase finds the same blocking flow
+as after a full BFS without walking the rest of the network.
+
 A network may grow after max_flow: new nodes and arcs leave the flow found
 so far feasible, and the next max_flow call augments from the residual
 graph and returns only the increment.
@@ -40,17 +45,20 @@ class FlowNetwork:
         self._cap.append(0)
 
     def _bfs(self, s: int, t: int) -> bool:
-        self._level = [-1] * self.n
-        self._level[s] = 0
+        """Level the residual graph from s until t gets its level."""
+        level = self._level = [-1] * self.n
+        level[s] = 0
         queue = deque([s])
         while queue:
             u = queue.popleft()
             for eid in self._adj[u]:
                 v = self._to[eid]
-                if self._cap[eid] > 0 and self._level[v] < 0:
-                    self._level[v] = self._level[u] + 1
+                if self._cap[eid] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    if v == t:
+                        return True
                     queue.append(v)
-        return self._level[t] >= 0
+        return False
 
     def _dfs(self, u: int, t: int, pushed: float) -> float:
         if u == t:

@@ -8,9 +8,13 @@ the class onto a cached strong subset of that type via canonical
 amalgamation.  Types are swept in tiers ordered by size, so every situation
 is reached after finitely many steps.  Tiers are generated lazily, one
 situation at a time, so a build that stops inside a tier never enumerates
-the rest of it; and each step checks K0 by resuming one warm flow network
-rather than solving the whole stage afresh.  check_genericity measures how
-much of that closure a finished stage actually exhibits.
+the rest of it.  Each step keeps its checks exact but local: K0 by resuming
+one warm flow network rather than solving the whole stage afresh; the old
+stage's strength by a flow over only the lines that reach the new points
+(lines inside the old stage are credited without a node); and the
+amalgam's line axiom point by point rather than pair by pair of lines.
+check_genericity measures how much of that closure a finished stage
+actually exhibits.
 """
 
 from __future__ import annotations

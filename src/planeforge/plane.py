@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidPlaneError
@@ -64,11 +65,15 @@ def validate(plane: Plane) -> None:
 
     Checks: point names are nonempty, printable, whitespace-free and not
     comment-like; every line is a subset of the point set with at least 3
-    points; two distinct lines meet in at most one point.
+    points; two distinct lines meet in at most one point.  The last check
+    runs point by point: the k lines through p meet only in p exactly when
+    their union has sum(|l|) - k + 1 points.  Of the clashing pairs this
+    finds, the one first in sorted line order is reported.
     """
     for p in plane.points:
         if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable()):
             raise InvalidPlaneError(f"bad point name: {p!r}")
+    through: dict[str, list[frozenset[str]]] = {}
     for line in plane.lines:
         if len(line) < 3:
             raise InvalidPlaneError(
@@ -79,14 +84,18 @@ def validate(plane: Plane) -> None:
             raise InvalidPlaneError(
                 f"line {sorted(line)} uses unknown points {sorted(stray)}"
             )
-    lines = sorted(plane.lines, key=sorted)
-    for i, l1 in enumerate(lines):
-        for l2 in lines[i + 1 :]:
-            common = l1 & l2
-            if len(common) > 1:
-                raise InvalidPlaneError(
-                    f"lines {sorted(l1)} and {sorted(l2)} share {sorted(common)}"
-                )
+        for p in line:
+            through.setdefault(p, []).append(line)
+    clashes = []
+    for ls in through.values():
+        if len(ls) > 1 and len(set().union(*ls)) != sum(map(len, ls)) - len(ls) + 1:
+            for l1, l2 in combinations(ls, 2):
+                if len(l1 & l2) > 1:
+                    clashes.append(sorted((sorted(l1), sorted(l2))))
+    if clashes:
+        l1, l2 = min(clashes)
+        common = sorted(frozenset(l1) & frozenset(l2))
+        raise InvalidPlaneError(f"lines {l1} and {l2} share {common}")
 
 
 def _pairs(points: Iterable[str]) -> Iterable[frozenset[str]]:

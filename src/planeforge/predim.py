@@ -77,16 +77,27 @@ def _min_delta(
     outside the seed; a max-flow on the selection network yields the best
     total.  The source side of the residual graph is the inclusion-minimal
     optimal selection, and the smallest minimizer keeps exactly the points
-    covered by two or more selected lines.
+    covered by two or more selected lines.  A line whose trace lies inside
+    the seed costs nothing, so its gain is credited directly and it gets no
+    node: it covers no point outside the seed, so neither the value nor the
+    smallest minimizer changes, and a large seed leaves a network made only
+    of the lines that reach past it.
     """
-    traces = [line & universe for line in plane.lines]
-    traces = [t for t in traces if len(t) >= 3]
+    profit_total = 0
+    traces = []
+    for line in plane.lines:
+        t = line & universe
+        if len(t) < 3:
+            continue
+        if t <= seed:
+            profit_total += len(t) - 2
+        else:
+            traces.append(t)
     costed = sorted(set().union(*traces) - seed) if traces else []
     pt_node = {p: 2 + len(traces) + i for i, p in enumerate(costed)}
 
     net = FlowNetwork(2 + len(traces) + len(costed))
     source, sink = 0, 1
-    profit_total = 0
     for i, t in enumerate(traces):
         node = 2 + i
         profit_total += len(t) - 2

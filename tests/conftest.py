@@ -56,3 +56,17 @@ def random_plane(rng: random.Random, max_points: int = 10) -> Plane:
             taken_pairs |= pairs
             lines.append(cand)
     return make_plane(pts, lines)
+
+
+def random_lines(rng: random.Random, pts, tries: int) -> list:
+    """Random 3- and 4-point lines over pts, any two sharing at most one point."""
+    lines, taken = [], set()
+    for _ in range(tries):
+        if len(pts) < 3:
+            break
+        cand = frozenset(rng.sample(pts, rng.randint(3, min(4, len(pts)))))
+        pairs = {frozenset(pq) for pq in combinations(cand, 2)}
+        if not pairs & taken:
+            taken |= pairs
+            lines.append(cand)
+    return lines

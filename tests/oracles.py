@@ -5,7 +5,11 @@ the definitions, sharing no code with the flow-based engine.  Exponential on
 purpose — only run these on small planes.
 """
 
+import re
 from itertools import combinations, permutations
+from math import inf
+
+from planeforge import InvalidPlaneError
 
 
 def oracle_delta(plane, subset=None) -> int:
@@ -108,3 +112,53 @@ def oracle_embeddings(sub, sup, fixed=None) -> list:
         if traces == {frozenset(mapping[p] for p in line) for line in sub.lines}:
             out.append(mapping)
     return out
+
+
+def oracle_validate(plane) -> None:
+    """The structural checks with the line axiom tested pair by pair.
+
+    Every two stored lines, in sorted line order, must meet in at most one
+    point; the first pair that does not is reported.
+    """
+    for p in plane.points:
+        if not (isinstance(p, str) and re.match(r"^[^\s#]+$", p) and p.isprintable()):
+            raise InvalidPlaneError(f"bad point name: {p!r}")
+    for line in plane.lines:
+        if len(line) < 3:
+            raise InvalidPlaneError(
+                f"line {sorted(line)} has {len(line)} points; lines need at least 3"
+            )
+        stray = line - plane.points
+        if stray:
+            raise InvalidPlaneError(
+                f"line {sorted(line)} uses unknown points {sorted(stray)}"
+            )
+    lines = sorted(plane.lines, key=sorted)
+    for i, l1 in enumerate(lines):
+        for l2 in lines[i + 1 :]:
+            common = l1 & l2
+            if len(common) > 1:
+                raise InvalidPlaneError(
+                    f"lines {sorted(l1)} and {sorted(l2)} share {sorted(common)}"
+                )
+
+
+def oracle_min_cut(n, arcs, s, t):
+    """(capacity, side) of the inclusion-minimal minimum s-t cut.
+
+    Enumerates every node set holding s but not t, prices the arcs leaving
+    it, and keeps the cheapest ones; minimum cuts are closed under
+    intersection, so exactly one of them lies inside all the others, and
+    that is asserted here rather than relied on.
+    """
+    others = [v for v in range(n) if v not in (s, t)]
+    cuts = {}
+    for size in range(len(others) + 1):
+        for combo in combinations(others, size):
+            side = frozenset((s, *combo))
+            cuts[side] = sum(c for u, v, c in arcs if u in side and v not in side)
+    best = min(cuts.values())
+    argmins = [side for side, c in cuts.items() if c == best]
+    minimal = [x for x in argmins if not any(y < x for y in argmins)]
+    assert best < inf and len(minimal) == 1, (best, minimal)
+    return best, minimal[0]

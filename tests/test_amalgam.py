@@ -7,6 +7,7 @@ from planeforge import (
     BudgetExceeded,
     ExchangeViolation,
     FreeAmalgam,
+    InvalidPlaneError,
     NotPrimitive,
     NotStrong,
     NotWedgeSubgeometry,
@@ -93,6 +94,18 @@ def test_crossing_union_lines_are_rejected():
         free_amalgam(a, b, c)
     with pytest.raises(NotWedgeSubgeometry):
         canonical_amalgam(a, b, c)
+
+
+@pytest.mark.parametrize("colliding_side", [0, 1])
+def test_canonical_amalgam_rejects_lines_sharing_two_points(colliding_side):
+    # The glue is fine (one shared point, no lines on it), so only the full
+    # validate of the amalgam can catch the input's broken line axiom.
+    bad = make_plane("abcde", ["abc", "abd"])
+    good = make_plane("exy", ["exy"])
+    a, b = (bad, good) if colliding_side == 0 else (good, bad)
+    with pytest.raises(InvalidPlaneError) as info:
+        canonical_amalgam(a, b, frozenset("e"))
+    assert str(info.value) == "lines ['a', 'b', 'c'] and ['a', 'b', 'd'] share ['a', 'b']"
 
 
 def test_is_primitive_small_cases(fig2, fano):

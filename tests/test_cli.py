@@ -439,3 +439,43 @@ def test_emitted_files_reparse_to_same_plane(tmp_path, capsys):
     _, plane = read_plane(out_file)
     _, original = read_plane(FIG2)
     assert plane == original
+
+
+def _unwritable(tmp_path) -> str:
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    return str(blocker / "x")  # a path below a regular file
+
+
+def test_amalgamate_unwritable_output_prints_nothing(tmp_path, capsys):
+    a = tmp_path / "a.plane"
+    b = tmp_path / "b.plane"
+    a.write_text("plane a\npoints p q x\nline p q x\n")
+    b.write_text("plane b\npoints p q y\nline p q y\n")
+    code, out, err = run(
+        capsys, "amalgamate", str(a), str(b), "--mode", "canonical",
+        "--output", _unwritable(tmp_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ")
+
+
+def test_census_unwritable_output_prints_nothing(tmp_path, capsys):
+    code, out, err = run(capsys, "census", "3", "--output", _unwritable(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ")
+
+
+def test_build_unwritable_output_prints_nothing(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "build", "--steps", "2", "--ext-bound", "1",
+        "--output", _unwritable(tmp_path),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ")
+
+
+def test_witness_unwritable_output_prints_nothing(tmp_path, capsys):
+    code, out, err = run(capsys, "witness", "figure2", "--output", _unwritable(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ")

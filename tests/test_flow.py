@@ -1,8 +1,9 @@
 import random
-from itertools import combinations
 from math import inf
 
 from planeforge.flow import FlowNetwork
+
+from .oracles import oracle_min_cut
 
 
 def test_single_edge():
@@ -60,17 +61,6 @@ def test_disconnected_sink():
     assert net.source_side(0) == {0, 1}
 
 
-def _brute_min_cut(n, edges, s, t):
-    best = inf
-    others = [v for v in range(n) if v not in (s, t)]
-    for r in range(len(others) + 1):
-        for side in combinations(others, r):
-            cut_side = {s, *side}
-            cost = sum(c for u, v, c in edges if u in cut_side and v not in cut_side)
-            best = min(best, cost)
-    return best
-
-
 def test_random_networks_match_min_cut():
     rng = random.Random(3)
     for _ in range(60):
@@ -84,7 +74,7 @@ def test_random_networks_match_min_cut():
                     edges.append((u, v, c))
                     net.add_edge(u, v, c)
         s, t = 0, n - 1
-        assert net.max_flow(s, t) == _brute_min_cut(n, edges, s, t)
+        assert net.max_flow(s, t) == oracle_min_cut(n, edges, s, t)[0]
 
 
 def test_source_side_is_a_min_cut():
@@ -143,3 +133,52 @@ def test_max_flow_resumes_after_growth():
             fresh.add_edge(u, v, c)
         assert total == fresh.max_flow(s, t)
         assert net.source_side(s) == fresh.source_side(s)
+
+
+def _random_arcs(rng, net, count, s, t):
+    """Add `count` random arcs with integer or infinite capacities.
+
+    Arcs out of s and into t stay finite, so every minimum cut is finite.
+    """
+    arcs = []
+    for _ in range(count):
+        u, v = rng.sample(range(net.n), 2)
+        c = rng.choice([0, 1, 1, 2, 3, 5, inf])
+        if c == inf and (u == s or v == t):
+            c = rng.randint(1, 4)
+        arcs.append((u, v, c))
+        net.add_edge(u, v, c)
+    return arcs
+
+
+def test_solved_networks_match_oracle_min_cut():
+    # max_flow is the minimum cut capacity and source_side is the
+    # inclusion-minimal minimum cut, which every maximum flow leaves.
+    rng = random.Random(91)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        s, t = rng.sample(range(n), 2)
+        net = FlowNetwork(n)
+        arcs = _random_arcs(rng, net, rng.randint(0, 3 * n), s, t)
+        value, side = oracle_min_cut(n, arcs, s, t)
+        assert net.max_flow(s, t) == value
+        assert net.source_side(s) == side
+
+
+def test_grown_networks_match_oracle_min_cut():
+    # Grown in rounds and solved after each: the increments add up to the
+    # current minimum cut, and the residual graph gives its minimal side.
+    rng = random.Random(92)
+    for _ in range(150):
+        s, t = 0, 1
+        net = FlowNetwork(2)
+        arcs = []
+        total = 0
+        for _ in range(rng.randint(1, 5)):
+            for _ in range(rng.randint(0, min(2, 9 - net.n))):
+                net.add_node()
+            arcs += _random_arcs(rng, net, rng.randint(1, 6), s, t)
+            total += net.max_flow(s, t)
+            value, side = oracle_min_cut(net.n, arcs, s, t)
+            assert total == value
+            assert net.source_side(s) == side

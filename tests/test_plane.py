@@ -22,6 +22,9 @@ from planeforge import (
     validate,
 )
 
+from .conftest import random_lines
+from .oracles import oracle_validate
+
 
 def test_make_plane_basics():
     p = make_plane("abc", ["abc"])
@@ -48,6 +51,40 @@ def test_validate_rejects_two_lines_sharing_two_points():
     bad = make_plane("abcd", [["a", "b", "c"], ["a", "b", "d"]])
     with pytest.raises(InvalidPlaneError):
         validate(bad)
+
+
+def _outcome(check, plane):
+    try:
+        check(plane)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return None
+
+
+def test_validate_matches_pairwise_oracle():
+    # Valid random planes with 0-3 planted lines that each share two points
+    # with a line already there; now and then a short or stray line too, so
+    # the earlier checks keep their order against the line axiom.
+    rng = random.Random(61)
+    raised = 0
+    for _ in range(400):
+        pts = [f"p{j}" for j in range(rng.randint(3, 12))]
+        lines = random_lines(rng, pts, rng.randint(0, 2 * len(pts)))
+        for _ in range(rng.randint(0, 3)):
+            base = sorted(rng.choice(lines)) if lines else rng.sample(pts, 3)
+            pair = rng.sample(base, 2)
+            rest = [p for p in pts if p not in base]
+            extra = rng.sample(rest, min(len(rest), rng.randint(1, 2)))
+            lines.append(frozenset(pair + extra))
+        if rng.random() < 0.05:
+            lines.append(frozenset(rng.sample(pts, 2)))
+        if rng.random() < 0.05:
+            lines.append(frozenset(rng.sample(pts, 2) + ["zz"]))
+        plane = make_plane(pts, lines)
+        want = _outcome(oracle_validate, plane)
+        assert _outcome(validate, plane) == want, plane
+        raised += want is not None
+    assert 100 <= raised <= 350
 
 
 def test_validate_rejects_bad_names():
@@ -193,20 +230,6 @@ def _direct_wedge(sub, sup) -> bool:
     )
 
 
-def _random_lines(rng, pts, tries):
-    """Random 3- and 4-point lines over pts, any two sharing at most one point."""
-    lines, taken = [], set()
-    for _ in range(tries):
-        if len(pts) < 3:
-            break
-        cand = frozenset(rng.sample(pts, rng.randint(3, min(4, len(pts)))))
-        pairs = {frozenset(pq) for pq in combinations(cand, 2)}
-        if not pairs & taken:
-            taken |= pairs
-            lines.append(cand)
-    return lines
-
-
 def test_wedge_matches_direct_definition():
     # Dense sups and large subs, so that (a), (b) and the subgeometry
     # condition each fail on some of the 300 pairs.
@@ -214,7 +237,7 @@ def test_wedge_matches_direct_definition():
     verdicts = []
     for i in range(300):
         pts = [f"p{j}" for j in range(rng.randint(0, 9))]
-        sup = make_plane(pts, _random_lines(rng, pts, 3 * len(pts)))
+        sup = make_plane(pts, random_lines(rng, pts, 3 * len(pts)))
         chosen = frozenset(rng.sample(pts, rng.randint(len(pts) // 2, len(pts))))
         if i % 3 == 0:  # induced subplane
             sub = restrict(sup, chosen)
@@ -225,7 +248,7 @@ def test_wedge_matches_direct_definition():
                 [t[: rng.randint(3, len(t))] for t in traces if rng.random() < 0.6],
             )
         else:  # lines of its own, often not inside any sup line
-            sub = make_plane(chosen, _random_lines(rng, sorted(chosen), len(chosen)))
+            sub = make_plane(chosen, random_lines(rng, sorted(chosen), len(chosen)))
         got = is_wedge_subgeometry(sub, sup)
         assert got == _direct_wedge(sub, sup), (sub, sup)
         verdicts.append(got)

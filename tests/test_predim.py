@@ -27,7 +27,7 @@ from planeforge import (
 )
 from planeforge.predim import GrowingK0
 
-from .conftest import random_plane
+from .conftest import random_lines, random_plane
 from .oracles import (
     oracle_alpha,
     oracle_d_value,
@@ -204,6 +204,30 @@ def test_strong_and_K0_match_oracle(seed):
     x = _subset_of(plane, rng)
     assert is_strong(plane, x) == oracle_is_strong(plane, x)
     assert in_K0(plane) == oracle_in_K0(plane)
+
+
+def test_seeds_of_whole_lines_match_oracle():
+    # Seeds that contain whole lines (a union of 1-3 lines plus loose
+    # points, or every point) make _min_delta credit those lines instead of
+    # giving them nodes; `within` also cuts some lines down to traces that
+    # lie in the seed.
+    rng = random.Random(71)
+    weak = 0
+    for _ in range(150):
+        pts = [f"p{j}" for j in range(rng.randint(3, 12))]
+        plane = make_plane(pts, random_lines(rng, pts, 3 * len(pts)))
+        lines = sorted(sorted(l) for l in plane.lines)
+        chosen = rng.sample(lines, min(len(lines), rng.randint(1, 3)))
+        loose = {p for p in plane.points if rng.random() < 0.25}
+        for x in (frozenset().union(*chosen, loose), plane.points):
+            within = x | {p for p in plane.points if rng.random() < 0.6}
+            for w in (None, within):
+                assert d_value(plane, x, w) == oracle_d_value(plane, x, w)
+                assert icl(plane, x, w) == oracle_icl(plane, x, w)
+                strong = is_strong(plane, x, w)
+                assert strong == oracle_is_strong(plane, x, w)
+                weak += not strong
+    assert weak >= 50
 
 
 @settings(max_examples=40, deadline=None)
