@@ -7,6 +7,15 @@ canonical amalgam alike.  Lines meeting C in at most two points are
 private to their side: the free amalgam keeps them apart (and fails when
 two of them collide on a shared pair), the canonical amalgam glues them
 by their shared trace.
+
+canonical_amalgam requires valid input planes and validates them first;
+validate remembers success on a plane, so a plane that is already known to
+be valid (the builder's stage, itself a previous amalgam) costs nothing.
+Its own output is then valid by proof rather than by a whole-plane check.
+One pass per side picks out the lines meeting C twice; the shared-part
+agreement, the wedge check and the line classes read only those, and
+additivity is checked by an exact identity over the lines out gained from
+or took from the first plane, never by a whole-plane delta.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from .errors import (
     PreconditionError,
     guard_subsets,
 )
-from .plane import Plane, is_wedge_subgeometry, restrict, validate
+from .plane import Plane, _record_valid, restrict, validate
 from .predim import d_rel, delta, in_K0, is_k_strong, is_strong
 
 
@@ -78,32 +87,38 @@ def _shared_part(a: Plane, b: Plane, shared: Iterable[str], op: str) -> frozense
     return c
 
 
-def _line_classes(
-    a: Plane, b: Plane, c: frozenset[str]
-) -> tuple[dict[frozenset[str], list[frozenset[str] | None]], set[frozenset[str]]]:
-    """Group lines by their C-trace (>= 2 points); loose lines pass through.
+def _based_lines(
+    plane: Plane, c: frozenset[str]
+) -> tuple[dict[frozenset[str], frozenset[str]], bool]:
+    """The lines meeting C at least twice, by C-trace, and whether no point
+    outside C lies on two of them (wedge condition (b)).
 
-    At most one line per side can carry a given trace (two would share two
-    points), so each class is a pair [line-in-a, line-in-b].
+    In a valid plane at most one line carries a given trace (two would
+    share two points), so each trace names one line.
     """
-    classes: dict[frozenset[str], list[frozenset[str] | None]] = {}
-    loose: set[frozenset[str]] = set()
-    for side, plane in enumerate((a, b)):
-        for line in plane.lines:
-            trace = line & c
-            if len(trace) >= 2:
-                classes.setdefault(trace, [None, None])[side] = line
-            else:
-                loose.add(line)
-    return classes, loose
+    based: dict[frozenset[str], frozenset[str]] = {}
+    seen: set[str] = set()
+    wedge = True
+    for line in plane.lines:
+        trace = line & c
+        if len(trace) >= 2:
+            based[trace] = line
+            outside = line - c
+            if wedge and not seen.isdisjoint(outside):
+                wedge = False
+            seen |= outside
+    return based, wedge
 
 
 def free_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
     """Union of the two planes over their shared part, no gluing beyond it."""
     c = _shared_part(a, b, shared, "free_amalgam")
-    classes, lines = _line_classes(a, b, c)
+    (based_a, _), (based_b, _) = _based_lines(a, c), _based_lines(b, c)
+    lines = set(a.lines.difference(based_a.values()))
+    lines |= b.lines.difference(based_b.values())
     identified: set[tuple[frozenset[str], frozenset[str]]] = set()
-    for trace, (la, lb) in classes.items():
+    for trace in based_a.keys() | based_b.keys():
+        la, lb = based_a.get(trace), based_b.get(trace)
         if len(trace) >= 3:
             lines.add((la or trace) | (lb or trace))
             if la and lb and la != lb:
@@ -123,26 +138,73 @@ def free_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
     return AmalgamResult(out, "free", frozenset(identified))
 
 
+def _nullity(lines: Iterable[frozenset[str]]) -> int:
+    return sum(len(line) - 2 for line in lines)
+
+
 def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
-    """Glue the two planes over C, identifying lines with a common C-trace."""
-    c = _shared_part(a, b, shared, "canonical_amalgam")
-    core = restrict(a, c)
-    for name, side in (("first", a), ("second", b)):
-        if not is_wedge_subgeometry(core, side):
+    """Glue the two planes over C, identifying lines with a common C-trace.
+
+    Both inputs are validated (free for a plane validated before); the
+    output is then valid without a check of its own.  Proof: the shared
+    part is induced alike in both valid inputs, so a line meeting C in at
+    most one point can meet any other output line at most once, and only
+    two merged lines la u lb can meet twice.  Two merged lines meet in at
+    most one point of a and one of b, and a common point of C would lie in
+    both parts, so a second meeting needs an a-point outside C on two
+    a-lines that each meet C twice (or the same on the b side) — exactly
+    what the wedge condition (b) rules out.  Wedge condition (a) and the
+    subgeometry condition of is_wedge_subgeometry hold for any induced C,
+    so one pass per side over the lines meeting C twice decides the
+    shared-part agreement, the wedge check and the line classes.
+
+    Additivity delta(out) = delta(a) + delta(b) - delta(C) is checked in the
+    exact form delta(out) - delta(a) = delta(b) - delta(C), whose left side
+    is the point growth minus the nullity of the lines out gained from a
+    plus that of the lines it took from a; those two line sets are found
+    by comparing every line of out with the lines of a.
+    """
+    validate(a)
+    validate(b)
+    c = frozenset(shared)
+    if a.points & b.points != c:
+        raise PreconditionError(
+            "canonical_amalgam: shared part must equal the point intersection"
+        )
+    based_a, wedge_a = _based_lines(a, c)
+    based_b, wedge_b = _based_lines(b, c)
+    core_lines = {t for t in based_a if len(t) >= 3}
+    if core_lines != {t for t in based_b if len(t) >= 3}:
+        raise PreconditionError(
+            "canonical_amalgam: the two planes disagree on the shared part"
+        )
+    for name, wedge in (("first", wedge_a), ("second", wedge_b)):
+        if not wedge:
             raise NotWedgeSubgeometry(
                 f"canonical_amalgam: shared part is not wedge-compatible "
                 f"in the {name} plane"
             )
-    classes, lines = _line_classes(a, b, c)
+    merged: set[frozenset[str]] = set()
     identified: set[tuple[frozenset[str], frozenset[str]]] = set()
-    for trace, (la, lb) in classes.items():
-        lines.add((la or trace) | (lb or trace))
+    for trace in based_a.keys() | based_b.keys():
+        la, lb = based_a.get(trace), based_b.get(trace)
+        merged.add((la or trace) | (lb or trace))
         if la and lb and la != lb:
             identified.add((la, lb))
-    out = Plane(a.points | b.points, frozenset(lines))
-    validate(out)
-    gained = delta(a) + delta(b) - delta(a, c)
-    if delta(out) != gained:
+    lines = (
+        a.lines.difference(based_a.values())
+        | b.lines.difference(based_b.values())
+        | merged
+    )
+    out = Plane(a.points | b.points, lines)
+    _record_valid(out)
+    growth = (
+        len(out.points) - len(a.points)
+        - _nullity(out.lines - a.lines)
+        + _nullity(a.lines - out.lines)
+    )
+    if growth != delta(b) - (len(c) - _nullity(core_lines)):
+        gained = delta(a) + delta(b) - delta(a, c)
         raise PlaneError(
             f"canonical amalgam broke predimension additivity: "
             f"{delta(out)} != {gained}"

@@ -11,8 +11,11 @@ situation at a time, so a build that stops inside a tier never enumerates
 the rest of it.  Each step keeps its checks exact but local: K0 by resuming
 one warm flow network rather than solving the whole stage afresh; the old
 stage's strength by a flow over only the lines that reach the new points
-(lines inside the old stage are credited without a node); and the
-amalgam's line axiom point by point rather than pair by pair of lines.
+(lines inside the old stage are credited without a node), reading the old
+stage's delta off the same line pass; and the amalgam by canonical_amalgam's
+glue-local checks.  canonical_amalgam validates its inputs, but a stage is
+itself a canonical amalgam, valid by proof and marked so, so only the
+small glued copy is ever checked in full (see canonical_amalgam).
 check_genericity measures how much of that closure a finished stage
 actually exhibits.
 """
@@ -183,6 +186,8 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
     processed first (one step each) — the fair sweep reaches every class
     eventually, seeding just front-loads chosen ones.  The chain records the
     concrete base, the added points, and the line identifications per step.
+    Seeds are validated once; every later stage is a canonical amalgam of
+    valid planes, so no stage is ever re-validated.
     """
     if steps < 0:
         raise PreconditionError("step count must be nonnegative")

@@ -41,6 +41,13 @@ class Plane:
         return {p: frozenset(ls) for p, ls in index.items()}
 
     @cached_property
+    def _valid(self) -> bool:
+        """True once the structural checks have passed.  A failure raises
+        and caches nothing, so an invalid plane raises on every call."""
+        _check_structure(self)
+        return True
+
+    @cached_property
     def line_of_pair(self) -> dict[frozenset[str], frozenset[str]]:
         """unordered pair -> the stored line through it, for covered pairs only."""
         index: dict[frozenset[str], frozenset[str]] = {}
@@ -69,7 +76,21 @@ def validate(plane: Plane) -> None:
     runs point by point: the k lines through p meet only in p exactly when
     their union has sum(|l|) - k + 1 points.  Of the clashing pairs this
     finds, the one first in sorted line order is reported.
+
+    A plane that passes remembers it, so validating it again is free; a
+    plane that fails remembers nothing and raises again on every call.
     """
+    plane._valid  # runs _check_structure until it first passes
+
+
+def _record_valid(plane: Plane) -> None:
+    """Mark a plane as valid without checking it.  Only for a caller that
+    has proved the plane valid, as canonical_amalgam does for its output."""
+    plane.__dict__["_valid"] = True
+
+
+def _check_structure(plane: Plane) -> None:
+    """The full structural check behind validate, run on every call."""
     for p in plane.points:
         if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable()):
             raise InvalidPlaneError(f"bad point name: {p!r}")

@@ -70,8 +70,9 @@ def alpha(plane: Plane, subset: Iterable[str] | None = None) -> int:
 
 def _min_delta(
     plane: Plane, seed: frozenset[str], universe: frozenset[str]
-) -> tuple[int, frozenset[str]]:
-    """Minimum of delta over seed <= X <= universe, with the smallest argmin.
+) -> tuple[int, frozenset[str], int]:
+    """Minimum of delta over seed <= X <= universe, the smallest argmin, and
+    delta(seed).
 
     Selecting a line earns (trace size - 2) and costs one per trace point
     outside the seed; a max-flow on the selection network yields the best
@@ -81,28 +82,36 @@ def _min_delta(
     the seed costs nothing, so its gain is credited directly and it gets no
     node: it covers no point outside the seed, so neither the value nor the
     smallest minimizer changes, and a large seed leaves a network made only
-    of the lines that reach past it.
+    of the lines that reach past it.  The same line pass sums the seed's
+    own nullity: a credited line's trace is its trace on the seed, and only
+    a costed line needs its points inside the seed counted.
     """
     profit_total = 0
-    traces = []
+    seed_nullity = 0
+    traces = []  # (trace, its points outside the seed), one per costed line
     for line in plane.lines:
         t = line & universe
         if len(t) < 3:
             continue
-        if t <= seed:
-            profit_total += len(t) - 2
+        outside = t - seed
+        if outside:
+            traces.append((t, outside))
+            inside = len(t) - len(outside)
+            if inside >= 3:
+                seed_nullity += inside - 2
         else:
-            traces.append(t)
-    costed = sorted(set().union(*traces) - seed) if traces else []
+            profit_total += len(t) - 2
+            seed_nullity += len(t) - 2
+    costed = sorted(set().union(*(o for _, o in traces)))
     pt_node = {p: 2 + len(traces) + i for i, p in enumerate(costed)}
 
     net = FlowNetwork(2 + len(traces) + len(costed))
     source, sink = 0, 1
-    for i, t in enumerate(traces):
+    for i, (t, outside) in enumerate(traces):
         node = 2 + i
         profit_total += len(t) - 2
         net.add_edge(source, node, len(t) - 2)
-        for p in t - seed:
+        for p in outside:
             net.add_edge(node, pt_node[p], inf)
     for p in costed:
         net.add_edge(pt_node[p], sink, 1)
@@ -111,12 +120,12 @@ def _min_delta(
     side = net.source_side(source)
 
     degree: dict[str, int] = {}
-    for i, t in enumerate(traces):
+    for i, (_, outside) in enumerate(traces):
         if 2 + i in side:
-            for p in t - seed:
+            for p in outside:
                 degree[p] = degree.get(p, 0) + 1
     minimizer = seed | {p for p, d in degree.items() if d >= 2}
-    return len(seed) - best_gain, minimizer
+    return len(seed) - best_gain, minimizer, len(seed) - seed_nullity
 
 
 def _seed_and_universe(
@@ -164,7 +173,8 @@ def is_strong(
 ) -> bool:
     """A <= B: no superset of A inside B has smaller delta."""
     seed, universe = _seed_and_universe(plane, subset, within, "is_strong")
-    return _min_delta(plane, seed, universe)[0] == delta(plane, seed)
+    value, _, seed_delta = _min_delta(plane, seed, universe)
+    return value == seed_delta
 
 
 def is_k_strong(
@@ -181,7 +191,9 @@ def is_k_strong(
     if k >= len(free):
         return is_strong(plane, seed, universe)
     work = sum(comb(len(free), i) for i in range(1, k + 1))
-    if work > 2 ** subset_budget():
+    budget = subset_budget()
+    # work > 2**budget, without building 2**budget for a huge budget
+    if budget < work.bit_length() and work > 2**budget:
         raise BudgetExceeded(
             f"is_k_strong: {work} increments exceed the subset budget"
         )
@@ -290,7 +302,7 @@ class PredimReport:
 
 
 def predim_report(plane: Plane) -> PredimReport:
-    value, witness = _min_delta(plane, frozenset(), plane.points)
+    value, witness, _ = _min_delta(plane, frozenset(), plane.points)
     ok = value == 0
     return PredimReport(
         delta=delta(plane),

@@ -162,3 +162,60 @@ def oracle_min_cut(n, arcs, s, t):
     minimal = [x for x in argmins if not any(y < x for y in argmins)]
     assert best < inf and len(minimal) == 1, (best, minimal)
     return best, minimal[0]
+
+
+def oracle_canonical_amalgam(a, b, shared):
+    """canonical_amalgam with every check run on whole planes.
+
+    Checks the shared part by restricting both sides, the wedge condition
+    by is_wedge_subgeometry, the amalgam by a pairwise validate, and
+    additivity by three whole-plane deltas.  Returns (plane,
+    identified_lines) or raises what canonical_amalgam raises.
+    """
+    from planeforge import (
+        NotWedgeSubgeometry,
+        Plane,
+        PlaneError,
+        PreconditionError,
+        is_wedge_subgeometry,
+        restrict,
+    )
+
+    c = frozenset(shared)
+    if a.points & b.points != c:
+        raise PreconditionError(
+            "canonical_amalgam: shared part must equal the point intersection"
+        )
+    core = restrict(a, c)
+    if core != restrict(b, c):
+        raise PreconditionError(
+            "canonical_amalgam: the two planes disagree on the shared part"
+        )
+    for name, side in (("first", a), ("second", b)):
+        if not is_wedge_subgeometry(core, side):
+            raise NotWedgeSubgeometry(
+                f"canonical_amalgam: shared part is not wedge-compatible "
+                f"in the {name} plane"
+            )
+    classes, lines = {}, set()
+    for side, plane in enumerate((a, b)):
+        for line in plane.lines:
+            trace = line & c
+            if len(trace) >= 2:
+                classes.setdefault(trace, [None, None])[side] = line
+            else:
+                lines.add(line)
+    identified = set()
+    for trace, (la, lb) in classes.items():
+        lines.add((la or trace) | (lb or trace))
+        if la and lb and la != lb:
+            identified.add((la, lb))
+    out = Plane(a.points | b.points, frozenset(lines))
+    oracle_validate(out)
+    gained = oracle_delta(a) + oracle_delta(b) - oracle_delta(a, c)
+    if oracle_delta(out) != gained:
+        raise PlaneError(
+            f"canonical amalgam broke predimension additivity: "
+            f"{oracle_delta(out)} != {gained}"
+        )
+    return out, frozenset(identified)

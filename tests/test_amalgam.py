@@ -1,5 +1,7 @@
+import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -22,13 +24,17 @@ from planeforge import (
     free_amalgam,
     is_primitive,
     is_strong,
+    is_wedge_subgeometry,
     make_plane,
     restrict,
     sharp_step,
+    validate,
 )
 from planeforge import amalgam
+import planeforge.generic as generic_mod
 
-from .conftest import library_env
+from .conftest import library_env, random_lines
+from .oracles import oracle_canonical_amalgam
 
 
 def test_free_amalgam_disjoint(fig2):
@@ -54,6 +60,13 @@ def test_free_amalgam_collision_on_shared_pair():
     b = make_plane("pqy", ["pqy"])
     with pytest.raises(ExchangeViolation):
         free_amalgam(a, b, frozenset("pq"))
+
+
+def test_free_amalgam_keeps_both_lines_of_a_broken_input():
+    # two lines of one side through the shared pair: neither may vanish
+    a = make_plane("pqxy", ["pqx", "pqy"])
+    with pytest.raises(ExchangeViolation, match="share"):
+        free_amalgam(a, make_plane("pqz"), frozenset("pq"))
 
 
 def test_amalgam_precondition_checks():
@@ -261,3 +274,196 @@ def test_broken_additivity_raises_under_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert "broke predimension additivity" in proc.stdout
+
+
+# --- canonical_amalgam against its whole-plane oracle ---------------------------
+
+
+def _outcome(op, a, b, c):
+    try:
+        result = op(a, b, c)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    if isinstance(result, amalgam.AmalgamResult):
+        return result.plane, result.identified_lines
+    return result
+
+
+def _broken(plane) -> bool:
+    try:
+        validate(plane)
+    except InvalidPlaneError:
+        return True
+    return False
+
+
+def _agreeing_sides(rng):
+    """Two valid planes meeting in C = c0, c1, ... that induce one plane on C.
+
+    The first side is random.  The second keeps the first's lines on C,
+    grows some of them by its own points, and adds random lines meeting C
+    at most twice, so wedge failures turn up on either side.
+    """
+    c = [f"c{i}" for i in range(rng.randint(0, 6))]
+    pa = c + [f"a{i}" for i in range(rng.randint(0, 4))]
+    pb = c + [f"b{i}" for i in range(rng.randint(0, 4))]
+    a = make_plane(pa, random_lines(rng, pa, 3 * len(pa)))
+    own = pb[len(c):]
+    lines = [set(t) for t in restrict(a, c).lines]
+    taken = {frozenset((p, q)) for t in lines for p in t for q in t if p != q}
+    for line in lines:
+        for x in rng.sample(own, min(len(own), rng.randint(0, 2))):
+            pairs = {frozenset((x, p)) for p in line}
+            if not pairs & taken:
+                taken |= pairs
+                line.add(x)
+    for extra in random_lines(rng, pb, 3 * len(pb)):
+        pairs = {frozenset((p, q)) for p in extra for q in extra if p != q}
+        if len(extra & set(c)) <= 2 and not pairs & taken:
+            taken |= pairs
+            lines.append(extra)
+    b = make_plane(pb, lines)
+    return (a, b, frozenset(c)) if rng.random() < 0.5 else (b, a, frozenset(c))
+
+
+def _clash_away_from_glue(rng, plane, c):
+    """plane plus a line on three points outside C that shares two points
+    with one line meeting C at most once and at most one with every line
+    meeting C twice, or None when plane has no room for one."""
+    loose = [l for l in plane.lines if len(l & c) <= 1 and len(l - c) >= 2]
+    based = [l for l in plane.lines if len(l & c) >= 2]
+    for _ in range(20):
+        if not loose:
+            return None
+        line = rng.choice(loose)
+        pair = rng.sample(sorted(line - c), 2)
+        rest = sorted(plane.points - c - line)
+        if not rest:
+            return None
+        clash = frozenset(pair + [rng.choice(rest)])
+        if all(len(clash & l) <= 1 for l in based):
+            return make_plane(plane.points, [*plane.lines, clash])
+    return None
+
+
+def _wedge_broken(plane, c):
+    """plane plus a point w on two new lines through disjoint uncovered
+    pairs of C, or None when C has no two such pairs."""
+    free = [
+        frozenset(pq)
+        for pq in combinations(sorted(c), 2)
+        if frozenset(pq) not in plane.line_of_pair
+    ]
+    for p1, p2 in combinations(free, 2):
+        if not p1 & p2:
+            return make_plane(plane.points | {"w"}, [*plane.lines, p1 | {"w"}, p2 | {"w"}])
+    return None
+
+
+def _glue_cases(rng, n):
+    """(kind, a, b, C): agreeing sides, a wrong C, disagreeing sides, a
+    wedge failure planted on one side, and gluable sides given a clash away
+    from the glue."""
+    cases = []
+    while len(cases) < n:
+        a, b, c = _agreeing_sides(rng)
+        kind = rng.choice(["agree", "shared", "disagree", "wedge", "collide", "collide"])
+        if kind == "shared":
+            odd = rng.choice(sorted(a.points ^ c or {"zz"}))
+            c = c ^ {odd}
+        elif kind == "disagree":
+            pts = sorted(b.points)
+            b = make_plane(pts, random_lines(rng, pts, 2 * len(pts)))
+        elif kind == "wedge":
+            if rng.random() < 0.5:
+                a = _wedge_broken(a, c)
+            else:
+                b = _wedge_broken(b, c)
+            if a is None or b is None:
+                continue
+        elif kind == "collide":
+            # only the clash is wrong; a clash next to another fault is
+            # reported as the clash (see the test after the next one)
+            if isinstance(_outcome(oracle_canonical_amalgam, a, b, c)[0], type):
+                continue
+            if rng.random() < 0.5:
+                a = _clash_away_from_glue(rng, a, c)
+            else:
+                b = _clash_away_from_glue(rng, b, c)
+            if a is None or b is None:
+                continue
+        cases.append((kind, a, b, c))
+    return cases
+
+
+def test_canonical_amalgam_matches_whole_plane_oracle():
+    rng = random.Random(20261018)
+    outcomes = {}
+    for kind, a, b, c in _glue_cases(rng, 400):
+        want = _outcome(oracle_canonical_amalgam, a, b, c)
+        assert _outcome(canonical_amalgam, a, b, c) == want, (kind, a, b, c)
+        key = want[0].__name__ if isinstance(want[0], type) else "ok"
+        if key in ("PreconditionError", "NotWedgeSubgeometry"):
+            key += " " + want[1].split()[-2]
+        outcomes[key] = outcomes.get(key, 0) + 1
+        for side in (a, b):  # the local wedge verdict on every valid side
+            if c <= side.points and not _broken(side):
+                local = amalgam._based_lines(side, c)[1]
+                assert local == is_wedge_subgeometry(restrict(side, c), side)
+    # every way through the checks is taken
+    assert set(outcomes) == {
+        "ok",
+        "PreconditionError point",
+        "PreconditionError shared",
+        "NotWedgeSubgeometry first",
+        "NotWedgeSubgeometry second",
+        "InvalidPlaneError",
+    }
+    assert min(outcomes.values()) >= 10, outcomes
+
+
+def _with_clash_anywhere(rng, plane):
+    line = rng.choice(sorted(plane.lines, key=sorted))
+    rest = sorted(plane.points - line)
+    return make_plane(
+        plane.points, [*plane.lines, frozenset(rng.sample(sorted(line), 2) + rest[:1])]
+    )
+
+
+def test_canonical_amalgam_reports_an_invalid_input_first():
+    # A broken input is reported as such, whatever else is wrong with the
+    # glue: first side first, with validate's own message.
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(200):
+        a, b, c = _agreeing_sides(rng)
+        if not a.lines or len(a.points) < 4:
+            continue
+        a = _with_clash_anywhere(rng, a)
+        with pytest.raises(InvalidPlaneError) as got:
+            canonical_amalgam(a, b, c)
+        with pytest.raises(InvalidPlaneError) as want:
+            validate(a)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(InvalidPlaneError) as got:
+            canonical_amalgam(b, a, c)  # b is valid, so a is reported
+        assert str(got.value) == str(want.value)
+        checked += 1
+    assert checked >= 50
+
+
+@pytest.mark.parametrize("steps, ext_bound", [(200, 2), (120, 3)])
+def test_builder_steps_match_whole_plane_oracle(monkeypatch, nd10, steps, ext_bound):
+    glued = []
+
+    def checked(a, b, shared):
+        got = canonical_amalgam(a, b, shared)
+        want = oracle_canonical_amalgam(a, b, shared)
+        assert (got.plane, got.identified_lines) == want
+        glued.append(got)
+        return got
+
+    monkeypatch.setattr(generic_mod, "canonical_amalgam", checked)
+    chain = generic_mod.build_generic(steps, ext_bound, seeds=[nd10])
+    assert len(glued) == steps
+    assert [g.plane for g in glued] == list(chain.stages[1:])

@@ -203,6 +203,34 @@ def test_strong_with_k(capsys):
     assert "strong: false" in out
 
 
+def _cli_under_memory_cap(argv, env):
+    """(exit code, stdout, stderr) of the CLI in a child capped at 1.5 GB."""
+    import resource
+
+    cap = 1536 * 2**20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    script = "import sys; from planeforge.cli import main; sys.exit(main())"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=limit,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_strong_with_k_under_a_huge_budget():
+    # The budget comparison must not build 2 ** budget.
+    argv = ["strong", FANO, "--subset", "1", "-k", "2"]
+    env = library_env()
+    env.pop("PLANEFORGE_BUDGET", None)
+    default = _cli_under_memory_cap(argv, env)
+    assert default == (0, "k: 2\nstrong: true\n", "")
+    env["PLANEFORGE_BUDGET"] = str(10**30)
+    assert _cli_under_memory_cap(argv, env) == default
+
+
 def test_report(capsys):
     code, out, _ = run(capsys, "report", ND10)
     assert code == 0

@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 import planeforge.generic as generic_mod
+import planeforge.plane as plane_mod
 from planeforge import (
     BudgetExceeded,
     InvalidPlaneError,
@@ -144,6 +145,15 @@ def test_build_firing_order_is_pinned(steps, ext_bound, digest):
     assert _chain_digest(build_generic(steps, ext_bound)) == digest
 
 
+def test_seeded_build_firing_order_is_pinned(nd10):
+    # The 10-point seed, then on into tier 6: an 886-point, 222-line stage.
+    chain = build_generic(500, 2, seeds=[nd10])
+    assert (len(chain.final.points), len(chain.final.lines)) == (886, 222)
+    assert _chain_digest(chain) == (
+        "566c5b6c3add28a57bb1f103b6e71b626f8c5350632ca358b1a419b2e88e598f"
+    )
+
+
 def test_build_ends_when_the_tiers_run_out():
     # With ext_bound 1 every situation up to tier 7 fires, and tier 8 stops
     # the sweep: its census is out of budget.
@@ -168,6 +178,25 @@ def test_tiers_are_enumerated_lazily(monkeypatch, nd10):
     build_generic(470, 2, seeds=[nd10])
     assert (6, 1) in calls
     assert (6, 2) not in calls
+
+
+def test_build_never_rechecks_a_stage(monkeypatch, nd10):
+    # Each stage is a canonical amalgam, valid by proof and marked so; the
+    # full structural check runs once per seed and glued copy, and on the
+    # empty starting stage, which the first step validates as its input.
+    checked = []
+    check = plane_mod._check_structure
+
+    def counted(plane):
+        checked.append(plane)  # held, so no id is reused
+        check(plane)
+
+    monkeypatch.setattr(plane_mod, "_check_structure", counted)
+    chain = build_generic(200, 2, seeds=[nd10])
+    ids = [id(p) for p in checked]
+    assert len(set(ids)) == len(ids)  # no plane checked twice
+    assert not {id(stage) for stage in chain.stages[1:]} & set(ids)
+    assert len(checked) == 1 + 1 + 200  # empty stage, seed, one copy per step
 
 
 def test_build_stages_keep_no_incidence_index(nd10):

@@ -1,5 +1,7 @@
 import gc
 import random
+import subprocess
+import sys
 import weakref
 from itertools import combinations
 
@@ -22,7 +24,7 @@ from planeforge import (
     validate,
 )
 
-from .conftest import random_lines
+from .conftest import library_env, random_lines
 from .oracles import oracle_validate
 
 
@@ -85,6 +87,52 @@ def test_validate_matches_pairwise_oracle():
         assert _outcome(validate, plane) == want, plane
         raised += want is not None
     assert 100 <= raised <= 350
+
+
+def test_validate_remembers_only_success(monkeypatch):
+    import planeforge.plane as plane_mod
+
+    runs = []
+    check = plane_mod._check_structure
+
+    def counted(plane):
+        runs.append(plane)
+        check(plane)
+
+    monkeypatch.setattr(plane_mod, "_check_structure", counted)
+    good = make_plane("abcd", [["a", "b", "c"]])
+    validate(good)
+    validate(good)
+    assert len(runs) == 1
+    bad = make_plane("abcd", [["a", "b", "c"], ["a", "b", "d"]])
+    for attempt in (2, 3):
+        with pytest.raises(InvalidPlaneError, match="share"):
+            validate(bad)
+        assert len(runs) == attempt
+    assert "_valid" not in bad.__dict__
+    twin = make_plane("abcd", ["abc"])  # the mark is not data
+    assert good == twin and hash(good) == hash(twin)
+
+
+VALIDATE_TWICE = """
+from planeforge import InvalidPlaneError, make_plane, validate
+bad = make_plane("abcd", [["a", "b", "c"], ["a", "b", "d"]])
+for _ in range(2):
+    try:
+        validate(bad)
+    except InvalidPlaneError as exc:
+        print(exc)
+"""
+
+
+def test_validate_raises_every_call_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", VALIDATE_TWICE],
+        capture_output=True, text=True, env=library_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    message = "lines ['a', 'b', 'c'] and ['a', 'b', 'd'] share ['a', 'b']\n"
+    assert proc.stdout == 2 * message
 
 
 def test_validate_rejects_bad_names():
