@@ -3,8 +3,9 @@
 Enumeration works on integer-labelled line sets with two symmetry prunes
 (covered points form a label prefix; lines are added in strictly ascending
 lexicographic order, new labels taken consecutively), then collapses the
-survivors into isomorphism classes.  Class representatives are relabelled
-onto letters through the same canonical labelling that orders the census.
+survivors by canonical key, keeping the first line set of each key.  Class
+representatives are relabelled onto letters through the canonical labelling
+that attains the key, and the census is ordered by key.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import string
 from itertools import combinations, permutations
 
-from .embedding import are_isomorphic
 from .errors import BudgetExceeded, PreconditionError
 from .plane import Plane, make_plane, validate
 from .predim import in_K0, is_strong
@@ -69,70 +69,92 @@ def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
     """The canonical key and a relabelling points -> 0..n-1 that attains it.
 
     The key is (n, encoded line set) under the labelling that minimizes the
-    encoding, so two planes share it exactly when they are isomorphic.
-    Labels are assigned in blocks following the refined color classes; within
-    each class every permutation is tried and the lexicographically smallest
-    line encoding wins.  Points on no line all land in one class and never
-    affect the encoding, so only covered classes are permuted.
+    encoding (each line as its sorted labels, the lines sorted), so two
+    planes share it exactly when they are isomorphic.  Labels are assigned in
+    blocks following the refined color classes.  Points on no line all land
+    in one class and never affect the encoding, so they, and every class of
+    one point, keep fixed labels; the other classes are searched.
+
+    The search is depth first and fills labels 0, 1, 2, ... in order: a
+    fixed label takes its point, a searched label tries the unused members of
+    its class in class order.  Leaves therefore come in the order of trying
+    every permutation of each class in turn, and the first leaf with the
+    least encoding is the label returned.  After labels 0..d-1, each line's
+    final sorted labels are, element by element, at least its known labels
+    followed by d, d+1, ...; sorting the lines keeps that element-wise order,
+    so the sorted tuple of these line bounds is a lower bound on every
+    completion (see _lower_bound).  A subtree whose bound is not below the
+    best encoding so far is cut.  The best is replaced only by a strictly
+    smaller encoding, and a cut subtree holds nothing strictly smaller, so
+    the key and the first minimal label are exactly those of the full
+    enumeration.
     """
     classes = _color_classes(plane)
     through = plane.lines_through
-    offsets = []
-    base = 0
+    index = {l: i for i, l in enumerate(plane.lines)}
+    sizes = list(map(len, index))
+    on = {p: [index[l] for l in through[p]] for p in plane.points}
+    choices: list[list[str]] = []  # choices[d]: who may take label d, in order
     for cls in classes:
-        offsets.append(base)
-        base += len(cls)
-    fixed: dict[str, int] = {}
-    variable: list[tuple[list[str], int]] = []
-    for cls, off in zip(classes, offsets):
         if len(cls) == 1 or not through[cls[0]]:
-            for i, p in enumerate(cls):
-                fixed[p] = off + i
+            choices.extend([p] for p in cls)
         else:
-            variable.append((cls, off))
+            choices.extend([cls] * len(cls))
+    n = len(choices)
+    known: list[list[int]] = [[] for _ in sizes]  # each line's labels so far
+    order: list[str] = []  # order[i] has label i
+    placed: set[str] = set()
+    best_key = best_order = None
 
-    best_key = None
-    best_map = None
-    for assignment in _assignments(variable):
-        label = dict(fixed)
-        label.update(assignment)
-        key = tuple(
-            sorted(tuple(sorted(label[p] for p in l)) for l in plane.lines)
-        )
-        if best_key is None or key < best_key:
-            best_key = key
-            best_map = label
-    return (len(plane.points), best_key), best_map
+    def place(p: str) -> None:
+        for i in on[p]:
+            known[i].append(len(order))
+        order.append(p)
+        placed.add(p)
+
+    def unplace() -> None:
+        p = order.pop()
+        placed.discard(p)
+        for i in on[p]:
+            known[i].pop()
+
+    def visit(d: int) -> None:
+        nonlocal best_key, best_order
+        start = d
+        while d < n and len(choices[d]) == 1:  # fixed labels need no branching
+            place(choices[d][0])
+            d += 1
+        bound = _lower_bound(known, sizes, d)
+        if best_key is None or bound < best_key:
+            if d == n:
+                best_key, best_order = bound, order[:]
+            else:
+                for p in choices[d]:
+                    if p not in placed:
+                        place(p)
+                        visit(d + 1)
+                        unplace()
+        while len(order) > start:
+            unplace()
+
+    visit(0)
+    return (n, best_key), {p: i for i, p in enumerate(best_order)}
 
 
-def _assignments(variable):
-    if not variable:
-        yield {}
-        return
-    (cls, off), rest = variable[0], variable[1:]
-    for perm in permutations(cls):
-        head = {p: off + i for i, p in enumerate(perm)}
-        for tail in _assignments(rest):
-            out = dict(head)
-            out.update(tail)
-            yield out
+def _lower_bound(known: list[list[int]], sizes: list[int], d: int) -> tuple:
+    """Least line encoding any completion of labels 0..d-1 can reach.
+
+    Each line's unknown labels are filled from d upwards; at d = n this is
+    the encoding itself.  Called once per search node.
+    """
+    return tuple(
+        sorted((*k, *range(d, d + s - len(k))) for k, s in zip(known, sizes))
+    )
 
 
 def canonical_key(plane: Plane) -> tuple:
     """Hashable isomorphism invariant: (n, minimal relabelled line set)."""
     return canonical_labeling(plane)[0]
-
-
-def _signature(plane: Plane) -> tuple:
-    through = plane.lines_through
-    profile = sorted(
-        tuple(sorted(len(l) for l in through[p])) for p in plane.points
-    )
-    return (
-        len(plane.points),
-        tuple(sorted(len(l) for l in plane.lines)),
-        tuple(profile),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +201,25 @@ def _labeled_line_sets(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _planes_exactly(n: int) -> list[Plane]:
-    if n == 0:
-        return [make_plane(())]
-    reps: list[Plane] = []
-    buckets: dict[tuple, list[Plane]] = {}
+    """One K0 plane per class on exactly ``n`` points, in canonical letters.
+
+    Keeps the first labelled line set of each canonical key, relabelled by
+    the labelling that attains the key, and sorts the survivors by key.
+    """
     names = [str(i) for i in range(n)]
+    found: dict[tuple, Plane] = {}
     for line_set in _labeled_line_sets(n):
         plane = make_plane(names, [[str(p) for p in line] for line in line_set])
         if not in_K0(plane):
             continue
-        sig = _signature(plane)
-        bucket = buckets.setdefault(sig, [])
-        if any(are_isomorphic(plane, seen) for seen in bucket):
+        key, label = canonical_labeling(plane)
+        if key in found:
             continue
-        bucket.append(plane)
-        reps.append(plane)
-    return reps
+        name = {p: string.ascii_lowercase[i] for p, i in label.items()}
+        found[key] = make_plane(
+            name.values(), [[name[p] for p in l] for l in plane.lines]
+        )
+    return [found[key] for key in sorted(found)]
 
 
 def enumerate_planes(n: int) -> list[Plane]:
@@ -212,14 +237,7 @@ def enumerate_planes(n: int) -> list[Plane]:
     out: list[Plane] = []
     for k in range(n + 1):
         if k not in _census_cache:
-            keyed = []
-            for plane in _planes_exactly(k):
-                key, label = canonical_labeling(plane)
-                name = {p: string.ascii_lowercase[i] for p, i in label.items()}
-                lines = [[name[p] for p in l] for l in plane.lines]
-                keyed.append((key, make_plane(name.values(), lines)))
-            keyed.sort(key=lambda kp: kp[0])
-            _census_cache[k] = [p for _, p in keyed]
+            _census_cache[k] = _planes_exactly(k)
         out.extend(_census_cache[k])
     return out
 
@@ -354,18 +372,22 @@ def enumerate_strong_extensions(base: Plane, k: int) -> list[Plane]:
         raise PreconditionError("base plane is not hereditarily nonnegative")
 
     found: dict[tuple, Plane] = {}
+    seen: set[tuple] = set()
     for m in range(1, k + 1):
         new = _fresh_names(base, m)
         allpts = list(base.points) + new
         for lines in _extension_line_sets(base, new):
-            plane = make_plane(allpts, lines)
+            # One key is one extension up to isomorphism over the base, and
+            # strength over the base is kept by such an isomorphism, so each
+            # key is built and checked once.
             key = _over_base_key(base, new, lines)
-            if key in found:
+            if key in seen:
                 continue
+            seen.add(key)
             # No in_K0 check: by submodularity, delta(X) >= delta(X | base)
             # - delta(base) + delta(X & base) >= 0 for every X once base is
             # strong in plane and in K0.
-            if not is_strong(plane, base.points):
-                continue
-            found[key] = plane
+            plane = make_plane(allpts, lines)
+            if is_strong(plane, base.points):
+                found[key] = plane
     return [p for _, p in sorted(found.items(), key=lambda kv: kv[0])]

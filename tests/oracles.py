@@ -6,7 +6,7 @@ purpose — only run these on small planes.
 """
 
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import inf
 
 from planeforge import InvalidPlaneError
@@ -219,3 +219,32 @@ def oracle_canonical_amalgam(a, b, shared):
             f"{oracle_delta(out)} != {gained}"
         )
     return out, frozenset(identified)
+
+
+def oracle_canonical_labeling(plane):
+    """canonical_labeling by trying every permutation of every searched class.
+
+    Shares only the color refinement with the library.  Classes are
+    permuted in nested order, the first class outermost and each in
+    itertools.permutations order, and the first labelling with the least
+    line encoding is kept.  Returns (key, label) like canonical_labeling.
+    """
+    from planeforge.census import _color_classes
+
+    through = plane.lines_through
+    fixed, searched, offset = {}, [], 0
+    for cls in _color_classes(plane):
+        if len(cls) == 1 or not through[cls[0]]:
+            fixed.update((p, offset + i) for i, p in enumerate(cls))
+        else:
+            searched.append((cls, offset))
+        offset += len(cls)
+    best_key = best_label = None
+    for perms in product(*(permutations(cls) for cls, _ in searched)):
+        label = dict(fixed)
+        for perm, (_, off) in zip(perms, searched):
+            label.update((p, off + i) for i, p in enumerate(perm))
+        key = tuple(sorted(tuple(sorted(label[p] for p in l)) for l in plane.lines))
+        if best_key is None or key < best_key:
+            best_key, best_label = key, label
+    return (len(plane.points), best_key), best_label

@@ -6,8 +6,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import planeforge.census as census_mod
+import planeforge.generic as generic_mod
 from planeforge import (
     BudgetExceeded,
+    build_generic,
     PreconditionError,
     are_isomorphic,
     canonical_key,
@@ -21,10 +24,10 @@ from planeforge import (
     make_plane,
     validate,
 )
-from planeforge.census import CENSUS_CAP, EXTENSION_CAP
+from planeforge.census import CENSUS_CAP, EXTENSION_CAP, canonical_labeling
 
 from .conftest import random_plane
-from .oracles import oracle_in_K0, oracle_is_strong
+from .oracles import oracle_canonical_labeling, oracle_in_K0, oracle_is_strong
 
 EXACT_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 10}
 
@@ -111,6 +114,75 @@ def test_canonical_key_separates_classes(seed):
     a = random_plane(rng, max_points=7)
     b = random_plane(rng, max_points=7)
     assert (canonical_key(a) == canonical_key(b)) == are_isomorphic(a, b)
+
+
+def _renamed(plane, rng):
+    """plane under a random bijection onto fresh names, so sorting differs."""
+    names = sorted(plane.points)
+    fresh = [f"q{rng.randrange(10**6)}_{i}" for i in range(len(names))]
+    rng.shuffle(fresh)
+    rho = dict(zip(names, fresh))
+    return make_plane(fresh, [[rho[p] for p in l] for l in plane.lines])
+
+
+def test_canonical_labeling_matches_oracle_on_census():
+    rng = random.Random(7)
+    checked = 0
+    for plane in enumerate_planes(7):
+        for copy in (plane, _renamed(plane, rng), _renamed(plane, rng)):
+            assert canonical_labeling(copy) == oracle_canonical_labeling(copy), copy
+            checked += 1
+    assert checked == 3 * 47
+
+
+def test_canonical_labeling_matches_oracle_on_random_planes():
+    for seed in range(200):
+        plane = random_plane(random.Random(seed), max_points=8)
+        assert canonical_labeling(plane) == oracle_canonical_labeling(plane), seed
+
+
+def test_builder_labellings_match_oracle(monkeypatch, nd10):
+    # Every plane the builder labels, in _register and in _tier_pairs; the
+    # chain depends on which of the minimal labels comes back.
+    seen = []
+    labeling = generic_mod.canonical_labeling
+
+    def recorded(plane):
+        result = labeling(plane)
+        seen.append((plane, result))
+        return result
+
+    monkeypatch.setattr(generic_mod, "canonical_labeling", recorded)
+    build_generic(500, 2, seeds=[nd10])
+    assert len(seen) > 500
+    for plane, result in seen:
+        assert result == oracle_canonical_labeling(plane), plane
+
+
+def test_canonical_labeling_prunes_ag23(monkeypatch):
+    # One class of 9 points: the full enumeration tries all 9! = 362,880
+    # labellings.  The pinned label is the full enumeration's first minimal.
+    from .test_predim import AG23
+
+    nodes = 0
+    lower_bound = census_mod._lower_bound
+
+    def counted(*args):
+        nonlocal nodes
+        nodes += 1
+        return lower_bound(*args)
+
+    monkeypatch.setattr(census_mod, "_lower_bound", counted)
+    key, label = canonical_labeling(AG23)
+    assert key == (
+        9,
+        (
+            (0, 1, 2), (0, 3, 4), (0, 5, 6), (0, 7, 8), (1, 3, 5), (1, 4, 7),
+            (1, 6, 8), (2, 3, 8), (2, 4, 6), (2, 5, 7), (3, 6, 7), (4, 5, 8),
+        ),
+    )
+    assert label == dict(zip("123479568", range(9)))
+    assert nodes <= 20_000
 
 
 # --- strong extension classes -------------------------------------------------
