@@ -212,6 +212,25 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
     return AmalgamResult(out, "canonical", frozenset(identified))
 
 
+def _smallest_step(
+    plane: Plane, lo: frozenset[str], up: frozenset[str], op: str
+) -> frozenset[str]:
+    """The smallest proper intermediate X, lo <= X <= up (by size, then
+    lexicographically), or up itself when there is none.
+
+    With lo strong in up, up is always a strong step over lo, so only the
+    proper sizes are searched.
+    """
+    free = sorted(up - lo)
+    guard_subsets(len(free), op)
+    for size in range(1, len(free)):
+        for mid in combinations(free, size):
+            x = lo | frozenset(mid)
+            if is_strong(plane, lo, x) and is_strong(plane, x, up):
+                return x
+    return up
+
+
 def is_primitive(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> bool:
     """No proper intermediate X with lower <= X <= upper (both strong)."""
     lo, up = frozenset(lower), frozenset(upper)
@@ -219,14 +238,7 @@ def is_primitive(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> bo
         raise PreconditionError("is_primitive: need lower ⊆ upper ⊆ plane")
     if not is_strong(plane, lo, up):
         raise NotStrong("is_primitive: lower part is not strong in the upper")
-    free = sorted(up - lo)
-    guard_subsets(len(free), "is_primitive")
-    for size in range(1, len(free)):
-        for mid in combinations(free, size):
-            x = lo | frozenset(mid)
-            if is_strong(plane, lo, x) and is_strong(plane, x, up):
-                return False
-    return True
+    return _smallest_step(plane, lo, up, "is_primitive") == up
 
 
 def classify_primitive(
@@ -251,28 +263,15 @@ def decompose(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> Decom
     """Chain of primitive strong steps from lower to upper.
 
     Deterministic: each step takes the smallest proper strong intermediate
-    (by size, then lexicographically), which is necessarily primitive and
-    makes the chain as long as possible.
+    (by size, then lexicographically), or the upper set when there is none,
+    so each step is primitive and the chain is as long as possible.
     """
     lo, up = frozenset(lower), frozenset(upper)
     if not is_strong(plane, lo, up):
         raise NotStrong("decompose: lower part is not strong in the upper")
     chain = [lo]
-    current = lo
-    while current != up:
-        free = sorted(up - current)
-        guard_subsets(len(free), "decompose")
-        step = None
-        for size in range(1, len(free) + 1):
-            for mid in combinations(free, size):
-                x = current | frozenset(mid)
-                if is_strong(plane, current, x) and is_strong(plane, x, up):
-                    step = x
-                    break
-            if step is not None:
-                break
-        chain.append(step)
-        current = step
+    while chain[-1] != up:
+        chain.append(_smallest_step(plane, chain[-1], up, "decompose"))
     return Decomposition(tuple(chain))
 
 

@@ -10,10 +10,6 @@ Each phase's BFS stops as soon as it levels the sink.  Every shallower
 level is complete by then, and no node at the sink's depth or deeper lies
 on a shortest augmenting path, so the phase finds the same blocking flow
 as after a full BFS without walking the rest of the network.
-
-A network may grow after max_flow: new nodes and arcs leave the flow found
-so far feasible, and the next max_flow call augments from the residual
-graph and returns only the increment.
 """
 
 from __future__ import annotations
@@ -29,12 +25,6 @@ class FlowNetwork:
         self._to: list[int] = []
         self._cap: list[float] = []
         self._adj: list[list[int]] = [[] for _ in range(n_nodes)]
-
-    def add_node(self) -> int:
-        """Append an isolated node and return its index."""
-        self._adj.append([])
-        self.n += 1
-        return self.n - 1
 
     def add_edge(self, u: int, v: int, cap: float) -> None:
         self._adj[u].append(len(self._to))

@@ -8,20 +8,24 @@ the class onto a cached strong subset of that type via canonical
 amalgamation.  Types are swept in tiers ordered by size, so every situation
 is reached after finitely many steps.  Tiers are generated lazily, one
 situation at a time, so a build that stops inside a tier never enumerates
-the rest of it.  Each step keeps its checks exact but local: K0 by resuming
-one warm flow network rather than solving the whole stage afresh; the old
+the rest of it.  Each step keeps its checks exact but local: the old
 stage's strength by a flow over only the lines that reach the new points
 (lines inside the old stage are credited without a node), reading the old
-stage's delta off the same line pass; and the amalgam by canonical_amalgam's
-glue-local checks.  canonical_amalgam validates its inputs, but a stage is
-itself a canonical amalgam, valid by proof and marked so, so only the
-small glued copy is ever checked in full (see canonical_amalgam).
+stage's delta off the same line pass; that the old stage is induced in the
+new one, from the lines the step changed; and the amalgam by
+canonical_amalgam's glue-local checks.  K0 is never solved per step: a
+plane with a strong, induced subplane in K0 is itself in K0 (see
+_Builder.fire), so every stage is in K0 by proof.  canonical_amalgam
+validates its inputs, but a stage is itself a canonical amalgam, valid by
+proof and marked so, so only the small glued copy is ever checked in full
+(see canonical_amalgam).
 check_genericity measures how much of that closure a finished stage
 actually exhibits.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -45,7 +49,7 @@ from .errors import (
     guard_subsets,
 )
 from .plane import Plane, line_through, make_plane, restrict, validate
-from .predim import GrowingK0, alpha, d_rel, d_value, delta, icl, in_K0, is_strong
+from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
 
 ICL_SWEEP_CAP = 200_000
 
@@ -105,15 +109,17 @@ class _Builder:
         self.counter = 0
         # type key -> (instance points, map canonical-label -> stage point)
         self.instances: dict = {}
-        self.k0 = GrowingK0()  # starts at the empty stage
-        self._register(frozenset())
+        # the empty stage, as a plane of its own: labelling caches incidence
+        # indices on the plane it labels, and stages keep none
+        self._register(make_plane(()))
 
-    def _register(self, image: frozenset) -> None:
-        if len(image) > 7:
+    def _register(self, copy: Plane) -> None:
+        """Offer ``copy``, a subplane induced in the stage, as a base instance."""
+        if len(copy.points) > 7:
             return  # never needed as a base: tier bases stay census-sized
-        key, label = canonical_labeling(restrict(self.stage, image))
+        key, label = canonical_labeling(copy)
         if key not in self.instances:
-            self.instances[key] = (image, {i: p for p, i in label.items()})
+            self.instances[key] = (copy.points, {i: p for p, i in label.items()})
 
     def fire(self, base_key, base_label: dict, template: Plane) -> None:
         inst_points, inst_map = self.instances[base_key]
@@ -127,12 +133,27 @@ class _Builder:
             [rename[p] for p in template.points],
             [[rename[p] for p in l] for l in template.lines],
         )
-        result = canonical_amalgam(self.stage, concrete, inst_points)
+        old = self.stage
+        result = canonical_amalgam(old, concrete, inst_points)
         new_stage = result.plane
-        if not is_strong(new_stage, self.stage.points):
+        # The new stage is in K0 by proof.  delta is submodular, so for every
+        # X inside it, delta(X) >= delta(X | S) - delta(S) + delta(X & S)
+        # with S the old stage's points.  S is strong, so delta(X | S) >=
+        # delta(S); S is induced, so delta(X & S) is taken in the old stage,
+        # which is in K0, and is >= 0.  The induction starts at the empty
+        # stage (and every seed is checked with in_K0 besides).  Induced
+        # means the traces on S of the new lines, where three points or
+        # more, are the old lines; a kept line is its own trace, so the
+        # lines the step added must trace the lines it dropped, one for one.
+        if not is_strong(new_stage, old.points):
             raise PlaneError("builder invariant broken: stage not strong in successor")
-        if not self.k0.grow(new_stage):
-            raise PlaneError("builder invariant broken: stage left K0")
+        traces = Counter(
+            line & old.points
+            for line in new_stage.lines - old.lines
+            if len(line & old.points) >= 3
+        )
+        if traces != Counter(old.lines - new_stage.lines):
+            raise PlaneError("builder invariant broken: stage not induced in successor")
         self.records.append(
             StepRecord(
                 index=len(self.records),
@@ -145,7 +166,7 @@ class _Builder:
         )
         self.stage = new_stage
         self.stages.append(new_stage)
-        self._register(frozenset(rename.values()))
+        self._register(concrete)
 
 
 def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:

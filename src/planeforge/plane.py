@@ -1,4 +1,4 @@
-"""Core incidence structure: points, lines, closure, rank, flats.
+"""Core incidence structure: points, lines, closure, rank, rank-2 flats.
 
 A plane is a finite simple rank-<=3 combinatorial geometry given by its
 point set and its nontrivial lines (the lines with at least three points).
@@ -158,15 +158,6 @@ def rank(plane: Plane, subset: Iterable[str] | None = None) -> int:
     return 3
 
 
-def flats(plane: Plane) -> frozenset[frozenset[str]]:
-    """All flats: empty set, points, lines (stored and trivial), ground set."""
-    out: set[frozenset[str]] = {frozenset()}
-    out.update(frozenset((p,)) for p in plane.points)
-    out.update(rank2_flats(plane))
-    out.add(plane.points)
-    return frozenset(out)
-
-
 def lines_based_in(plane: Plane, base: Iterable[str]) -> frozenset[frozenset[str]]:
     """Stored lines meeting `base` in at least two points."""
     b = frozenset(base)
@@ -180,10 +171,6 @@ def restrict(plane: Plane, subset: Iterable[str]) -> Plane:
         raise InvalidPlaneError(f"subset {sorted(x - plane.points)} outside plane")
     traces = frozenset(line & x for line in plane.lines if len(line & x) >= 3)
     return Plane(x, traces)
-
-
-def is_induced_subplane(sub: Plane, sup: Plane) -> bool:
-    return sub.points <= sup.points and sub == restrict(sup, sub.points)
 
 
 def is_subgeometry(sub: Plane, sup: Plane) -> bool:

@@ -4,9 +4,9 @@ delta(X) = |X| - sum over lines of max(|l cap X| - 2, 0) is submodular, so
 min { delta(X) : A subseteq X subseteq U } is computable exactly by a
 min-cut reduction (select a line, earn its trace nullity, pay one per
 covered point outside A).  All the d / strong / icl / K0 operations run
-through that engine; nothing here enumerates subsets except is_k_strong,
-whose contract is genuinely about bounded-size increments.  GrowingK0 keeps
-the K0 network of a plane that only grows and resumes its flow per step.
+through that engine, which is the only code that builds a flow network;
+nothing here enumerates subsets except is_k_strong, whose contract is
+genuinely about bounded-size increments.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb, inf
 from typing import Iterable
 
-from .errors import BudgetExceeded, PlaneError, PreconditionError, subset_budget
+from .errors import BudgetExceeded, PreconditionError, subset_budget
 from .flow import FlowNetwork
 from .plane import Plane, rank
 
@@ -208,76 +208,6 @@ def is_k_strong(
 def in_K0(plane: Plane) -> bool:
     """Hereditary nonnegativity: every subset has delta >= 0."""
     return _min_delta(plane, frozenset(), plane.points)[0] == 0
-
-
-class GrowingK0:
-    """in_K0 for a plane that only grows, on one warm flow network.
-
-    The network is _min_delta's for the empty seed: source -> line with
-    capacity |l| - 2, line -> point with capacity inf, point -> sink with
-    capacity 1.  A successor keeps every old point and old line, possibly
-    with new points on it, so no old capacity shrinks and the old flow stays
-    feasible.  Each call adds the new point and line nodes, gives an
-    extended line its extra capacity as a parallel source arc, and lets
-    max_flow augment from the residual graph left by the previous call
-    (capacity-increase reuse, Gallo, Grigoriadis & Tarjan 1989).  The plane
-    is in K0 exactly when the flow saturates every source arc.
-    """
-
-    _SOURCE, _SINK = 0, 1
-
-    def __init__(self) -> None:
-        self.points: frozenset[str] = frozenset()
-        self._net = FlowNetwork(2)
-        self._point_node: dict[str, int] = {}
-        self._line_node: dict[frozenset[str], int] = {}
-        self._flow = 0.0
-        self._profit = 0
-
-    def grow(self, successor: Plane) -> bool:
-        """Move on to ``successor`` and say whether it is in K0."""
-        old = self.points
-        if not old <= successor.points:
-            raise PlaneError("successor drops points of the plane it grows")
-        kept = 0
-        extended: dict[frozenset[str], frozenset[str]] = {}  # old line -> line
-        fresh: list[frozenset[str]] = []
-        for line in successor.lines:
-            if line in self._line_node:
-                kept += 1
-                continue
-            trace = line & old
-            if len(trace) < 3:
-                fresh.append(line)
-            elif trace in self._line_node and trace not in extended:
-                extended[trace] = line
-            else:
-                raise PlaneError(
-                    f"successor line {sorted(line)} meets the old points in "
-                    f"{sorted(trace)}, which is no old line"
-                )
-        if kept + len(extended) != len(self._line_node):
-            raise PlaneError("successor drops a line of the plane it grows")
-
-        net = self._net
-        for p in sorted(successor.points - old):
-            node = self._point_node[p] = net.add_node()
-            net.add_edge(node, self._SINK, 1)
-        for trace, line in extended.items():
-            node = self._line_node[line] = self._line_node.pop(trace)
-            self._add_line_arcs(node, len(line) - len(trace), line - trace)
-        for line in fresh:
-            node = self._line_node[line] = net.add_node()
-            self._add_line_arcs(node, len(line) - 2, line)
-        self.points = successor.points
-        self._flow += net.max_flow(self._SOURCE, self._SINK)
-        return self._flow == self._profit
-
-    def _add_line_arcs(self, node: int, profit: int, points: frozenset[str]) -> None:
-        self._profit += profit
-        self._net.add_edge(self._SOURCE, node, profit)
-        for p in points:
-            self._net.add_edge(node, self._point_node[p], inf)
 
 
 @dataclass(frozen=True)

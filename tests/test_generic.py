@@ -1,4 +1,6 @@
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from planeforge import (
     BudgetExceeded,
     InvalidPlaneError,
     NotStrong,
+    PlaneError,
     PreconditionError,
     WITNESSES,
     are_isomorphic,
@@ -30,6 +33,7 @@ from planeforge import (
 from planeforge.generic import plane_label
 from planeforge.planefile import serialize_plane
 
+from .conftest import library_env
 from .test_predim import AG23
 
 
@@ -197,6 +201,89 @@ def test_build_never_rechecks_a_stage(monkeypatch, nd10):
     assert len(set(ids)) == len(ids)  # no plane checked twice
     assert not {id(stage) for stage in chain.stages[1:]} & set(ids)
     assert len(checked) == 1 + 1 + 200  # empty stage, seed, one copy per step
+
+
+# A two-step build (the ten-point seed, then two free points) whose second
+# successor is corrupted after canonical_amalgam.  Each corruption keeps the
+# old stage's points; fire must reject it with the message given.
+CORRUPTED_SUCCESSORS = """
+from planeforge import PlaneError, build_generic, generic, make_plane
+from planeforge import non_desarguesian_plane
+from planeforge.amalgam import AmalgamResult
+from planeforge.plane import Plane
+
+ND10 = non_desarguesian_plane()
+# fire names the seed's points x1 ... x10 in sorted order
+X = {p: f"x{i}" for i, p in enumerate(sorted(ND10.points), 1)}
+AXIS = frozenset(X[p] for p in ("c12", "c13", "c23"))  # on no old line
+OLD = frozenset(X[p] for p in ("a1", "a2", "c12"))  # an old line
+NOT_INDUCED = "stage not induced in successor"
+CASES = {
+    # x11 on two new lines through old pairs: delta drops by one
+    "not-strong": (
+        "stage not strong in successor",
+        lambda ls: ls | {
+            frozenset({X["c12"], X["c13"], "x11"}),
+            frozenset({X["c23"], X["o"], "x11"}),
+        },
+    ),
+    "line-on-three-old-points": (NOT_INDUCED, lambda ls: ls | {AXIS}),
+    "two-lines-extend-an-old-line": (
+        NOT_INDUCED,
+        lambda ls: ls - {OLD} | {OLD | {"x11"}, OLD | {"x12"}},
+    ),
+    "old-line-dropped": (NOT_INDUCED, lambda ls: ls - {OLD}),
+}
+
+REAL_GLUE = generic.canonical_amalgam
+
+
+def corrupting(mutate):
+    def glue(a, b, shared):
+        result = REAL_GLUE(a, b, shared)
+        if not a.points:  # the first step: keep it
+            return result
+        plane = Plane(result.plane.points, frozenset(mutate(result.plane.lines)))
+        return AmalgamResult(plane, result.kind, result.identified_lines)
+
+    return glue
+
+
+def build():
+    build_generic(2, 2, seeds=[ND10, make_plane(["y", "z"])])
+
+
+if __name__ == "__main__":
+    for name, (message, mutate) in CASES.items():
+        generic.canonical_amalgam = corrupting(mutate)
+        try:
+            build()
+        except PlaneError as exc:
+            print(f"{name}: {exc}")
+"""
+
+_CORRUPTED = {"__name__": "corrupted_successors"}  # not __main__: defines only
+exec(CORRUPTED_SUCCESSORS, _CORRUPTED)
+
+
+@pytest.mark.parametrize("case", sorted(_CORRUPTED["CASES"]))
+def test_fire_rejects_a_successor_not_strong_or_not_induced(monkeypatch, case):
+    message, mutate = _CORRUPTED["CASES"][case]
+    monkeypatch.setattr(generic_mod, "canonical_amalgam", _CORRUPTED["corrupting"](mutate))
+    with pytest.raises(PlaneError, match=f"^builder invariant broken: {message}$"):
+        _CORRUPTED["build"]()
+
+
+def test_fire_rejects_corrupted_successors_under_optimize():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPTED_SUCCESSORS],
+        capture_output=True, text=True, env=library_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{name}: builder invariant broken: {message}"
+        for name, (message, _) in _CORRUPTED["CASES"].items()
+    ]
 
 
 def test_build_stages_keep_no_incidence_index(nd10):

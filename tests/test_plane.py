@@ -11,8 +11,6 @@ from planeforge import (
     InvalidPlaneError,
     canonical_key,
     closure,
-    flats,
-    is_induced_subplane,
     is_subgeometry,
     is_wedge_subgeometry,
     line_through,
@@ -168,17 +166,6 @@ def test_rank(fano, fig2):
     assert rank(fig2, frozenset("abc")) == 3
 
 
-def test_flats_triangle():
-    p = make_plane("abcd", [["a", "b", "c"]])
-    fs = flats(p)
-    assert frozenset() in fs
-    assert frozenset("a") in fs
-    assert frozenset("abc") in fs      # the stored line
-    assert frozenset("ad") in fs       # uncovered pair
-    assert frozenset("ab") not in fs   # covered pair is not a flat
-    assert p.points in fs
-
-
 def test_rank2_flats_counts(fano):
     # every pair of fano is covered, so rank-2 flats are exactly the 7 lines
     assert rank2_flats(fano) == fano.lines
@@ -215,20 +202,12 @@ def test_restrict_traces():
     assert sub.lines == frozenset({frozenset("abc")})
 
 
-def test_is_induced_subplane():
-    p = make_plane("abcdx", [["a", "b", "c", "x"]])
-    assert is_induced_subplane(make_plane("abd"), p)
-    assert not is_induced_subplane(make_plane("abc"), p)  # trace abc is a line
-    assert is_induced_subplane(make_plane("abc", ["abc"]), p)
-
-
 def test_subgeometry_weaker_than_induced():
     # a 3-line sits inside the 4-line as a subgeometry but not induced
     sup = make_plane("abcx", [["a", "b", "c", "x"]])
     sub = make_plane("abcx", ["abc"])
     assert is_subgeometry(sub, sup)
-    assert not is_induced_subplane(sub, sup)
-    assert is_induced_subplane(restrict(sup, frozenset("abx")), sup)
+    assert restrict(sup, sub.points) != sub
 
 
 def test_wedge_needs_distinct_closures():
