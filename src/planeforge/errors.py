@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import os
+import re
 
 DEFAULT_BUDGET = 20
 _BUDGET_ENV = "PLANEFORGE_BUDGET"
+_INTEGER = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 class PlaneError(Exception):
@@ -68,10 +70,20 @@ def subset_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise PlaneError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
+        problem = "must be an integer"
+        # a well-formed integer int() refuses is past Python's int-string limit
+        if _INTEGER.fullmatch(raw):
+            problem = "must be nonnegative" if "-" in raw else "is too large"
+        raise PlaneError(f"{_BUDGET_ENV} {problem}, got {_clipped(raw)}") from None
     if value < 0:
-        raise PlaneError(f"{_BUDGET_ENV} must be nonnegative, got {value}")
+        shown = value if len(raw) <= 40 else _clipped(raw)
+        raise PlaneError(f"{_BUDGET_ENV} must be nonnegative, got {shown}")
     return value
+
+
+def _clipped(raw: str) -> str:
+    """repr of an environment value, cut to its first 20 characters if long."""
+    return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
 
 
 def guard_subsets(n_free: int, operation: str) -> None:

@@ -9,23 +9,24 @@ amalgamation.  Types are swept in tiers ordered by size, so every situation
 is reached after finitely many steps.  Tiers are generated lazily, one
 situation at a time, so a build that stops inside a tier never enumerates
 the rest of it.  Each step keeps its checks exact but local: the old
-stage's strength by a flow over only the lines that reach the new points
-(lines inside the old stage are credited without a node), reading the old
-stage's delta off the same line pass; that the old stage is induced in the
-new one, from the lines the step changed; and the amalgam by
+stage's strength by a flow on the step's own lines, the lines the successor
+added, which alone decide it (see _Builder.fire); that the old stage is
+induced in the new one, from the lines the step changed; and the amalgam by
 canonical_amalgam's glue-local checks.  K0 is never solved per step: a
 plane with a strong, induced subplane in K0 is itself in K0 (see
 _Builder.fire), so every stage is in K0 by proof.  canonical_amalgam
 validates its inputs, but a stage is itself a canonical amalgam, valid by
 proof and marked so, so only the small glued copy is ever checked in full
-(see canonical_amalgam).
+(see canonical_amalgam).  Glued copies are labelled on demand: a copy
+waits in a queue for its point count until a base of that size is asked
+for (see _Builder.instance).
 check_genericity measures how much of that closure a finished stage
 actually exhibits.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import chain, combinations
@@ -33,6 +34,7 @@ from math import comb
 
 from .amalgam import canonical_amalgam, classify_primitive, decompose, is_primitive
 from .census import (
+    CENSUS_CAP,
     EXTENSION_CAP,
     canonical_key,
     canonical_labeling,
@@ -109,20 +111,41 @@ class _Builder:
         self.counter = 0
         # type key -> (instance points, map canonical-label -> stage point)
         self.instances: dict = {}
+        # point count -> offered copies not labelled yet, in offer order
+        self.queued: dict[int, deque] = {}
         # the empty stage, as a plane of its own: labelling caches incidence
         # indices on the plane it labels, and stages keep none
         self._register(make_plane(()))
 
     def _register(self, copy: Plane) -> None:
         """Offer ``copy``, a subplane induced in the stage, as a base instance."""
-        if len(copy.points) > 7:
-            return  # never needed as a base: tier bases stay census-sized
-        key, label = canonical_labeling(copy)
-        if key not in self.instances:
-            self.instances[key] = (copy.points, {i: p for p, i in label.items()})
+        if len(copy.points) <= CENSUS_CAP:  # tier bases stay census-sized
+            self.queued.setdefault(len(copy.points), deque()).append(copy)
+
+    def instance(self, key: tuple):
+        """The first offered copy of type ``key`` as (points, label map), or
+        None if no copy offered so far has that type.
+
+        Copies are labelled only here.  A key (n, ...) is looked up among the
+        labelled copies first, then the queued n-point copies are labelled
+        in offer order, each key kept the first time it appears, until the
+        key turns up.  Copies of other sizes never share the key, so every
+        key keeps the first offered copy that has it, as if each copy had
+        been labelled when offered.
+        """
+        queue = self.queued.get(key[0], ())
+        while key not in self.instances and queue:
+            copy = queue.popleft()
+            copy_key, label = canonical_labeling(copy)
+            if copy_key not in self.instances:
+                self.instances[copy_key] = (
+                    copy.points,
+                    {i: p for p, i in label.items()},
+                )
+        return self.instances.get(key)
 
     def fire(self, base_key, base_label: dict, template: Plane) -> None:
-        inst_points, inst_map = self.instances[base_key]
+        inst_points, inst_map = self.instance(base_key)
         sigma = {p: inst_map[i] for p, i in base_label.items()}
         fresh = {}
         for p in sorted(template.points.difference(sigma)):
@@ -141,16 +164,31 @@ class _Builder:
         # with S the old stage's points.  S is strong, so delta(X | S) >=
         # delta(S); S is induced, so delta(X & S) is taken in the old stage,
         # which is in K0, and is >= 0.  The induction starts at the empty
-        # stage (and every seed is checked with in_K0 besides).  Induced
-        # means the traces on S of the new lines, where three points or
-        # more, are the old lines; a kept line is its own trace, so the
+        # stage (and every seed is checked with in_K0 besides).
+        #
+        # Strength is checked on the step's own lines.  For S <= X <= new,
+        # delta(X) - delta(S) is |X - S| less, over each line, the nullity
+        # of its trace on X less that on S.  A kept line lies inside S, so
+        # it adds nothing, and only the added lines count.  Let G be the
+        # plane on the new points and the points of the added lines, with
+        # the added lines.  X over S and its trace on G over S & G differ by
+        # the same amount, and every set of G above S & G is the trace of
+        # its union with S.  So S is strong in the new stage exactly
+        # when S & G is strong in G, a flow the size of the step.  This
+        # needs no inducedness, so the two checks stay independent, but it
+        # needs S inside the new stage, which is checked first: G cannot
+        # see an old point the successor dropped.
+        #
+        # Induced means the traces on S of the new lines, where three points
+        # or more, are the old lines; a kept line is its own trace, so the
         # lines the step added must trace the lines it dropped, one for one.
-        if not is_strong(new_stage, old.points):
+        if not old.points <= new_stage.points:
+            raise PlaneError("builder invariant broken: successor drops stage points")
+        added = new_stage.lines - old.lines
+        if not _strong_over(old, new_stage, added):
             raise PlaneError("builder invariant broken: stage not strong in successor")
         traces = Counter(
-            line & old.points
-            for line in new_stage.lines - old.lines
-            if len(line & old.points) >= 3
+            line & old.points for line in added if len(line & old.points) >= 3
         )
         if traces != Counter(old.lines - new_stage.lines):
             raise PlaneError("builder invariant broken: stage not induced in successor")
@@ -167,6 +205,14 @@ class _Builder:
         self.stage = new_stage
         self.stages.append(new_stage)
         self._register(concrete)
+
+
+def _strong_over(old: Plane, new: Plane, added: frozenset) -> bool:
+    """is_strong(new, old.points) for old.points <= new.points, decided on
+    ``added``, the lines of ``new`` that ``old`` lacks (see _Builder.fire).
+    """
+    glue = Plane((new.points - old.points).union(*added), added)
+    return is_strong(glue, glue.points & old.points)
 
 
 def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
@@ -249,7 +295,7 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
                 break
             if pair is None:
                 break
-            if pair.base_key not in builder.instances:
+            if builder.instance(pair.base_key) is None:
                 pending.append(pair)
                 continue
             builder.fire(pair.base_key, pair.base_label, pair.template)

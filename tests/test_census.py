@@ -142,21 +142,27 @@ def test_canonical_labeling_matches_oracle_on_random_planes():
 
 
 def test_builder_labellings_match_oracle(monkeypatch, nd10):
-    # Every plane the builder labels, in _register and in _tier_pairs; the
+    # Every plane offered to _register, labelled on demand or never, and
+    # every plane the builder labels, which adds _tier_pairs' bases; the
     # chain depends on which of the minimal labels comes back.
-    seen = []
+    seen = {}  # id -> plane, held so no id is reused
+    register = generic_mod._Builder._register
     labeling = generic_mod.canonical_labeling
 
-    def recorded(plane):
-        result = labeling(plane)
-        seen.append((plane, result))
-        return result
+    def offered(builder, copy):
+        seen[id(copy)] = copy
+        register(builder, copy)
 
-    monkeypatch.setattr(generic_mod, "canonical_labeling", recorded)
+    def labelled(plane):
+        seen[id(plane)] = plane
+        return labeling(plane)
+
+    monkeypatch.setattr(generic_mod._Builder, "_register", offered)
+    monkeypatch.setattr(generic_mod, "canonical_labeling", labelled)
     build_generic(500, 2, seeds=[nd10])
     assert len(seen) > 500
-    for plane, result in seen:
-        assert result == oracle_canonical_labeling(plane), plane
+    for plane in seen.values():
+        assert canonical_labeling(plane) == oracle_canonical_labeling(plane), plane
 
 
 def test_canonical_labeling_prunes_ag23(monkeypatch):

@@ -231,6 +231,20 @@ def test_strong_with_k_under_a_huge_budget():
     assert _cli_under_memory_cap(argv, env) == default
 
 
+@pytest.mark.parametrize(
+    "value, problem", [("9" * 5000, "is too large"), ("-" + "9" * 5000, "must be nonnegative")]
+)
+def test_budget_past_the_int_string_limit(monkeypatch, capsys, value, problem):
+    # 5,000 digits is past Python's int-string limit; the value is cut short.
+    monkeypatch.setenv("PLANEFORGE_BUDGET", value)
+    code, out, err = run(capsys, "strong", FANO, "--subset", "1", "-k", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: PLANEFORGE_BUDGET {problem}, got "
+        f"{value[:20]!r}... ({len(value)} characters)\n"
+    )
+
+
 def test_report(capsys):
     code, out, _ = run(capsys, "report", ND10)
     assert code == 0

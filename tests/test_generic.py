@@ -1,6 +1,8 @@
 import hashlib
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -30,10 +32,13 @@ from planeforge import (
     witness_not_one_based,
     witness_weak_ei,
 )
+from planeforge.amalgam import AmalgamResult
+from planeforge.census import CENSUS_CAP, canonical_labeling
 from planeforge.generic import plane_label
+from planeforge.plane import Plane
 from planeforge.planefile import serialize_plane
 
-from .conftest import library_env
+from .conftest import library_env, random_lines
 from .test_predim import AG23
 
 
@@ -289,6 +294,98 @@ def test_fire_rejects_corrupted_successors_under_optimize():
 def test_build_stages_keep_no_incidence_index(nd10):
     chain = build_generic(200, 2, seeds=[nd10])
     assert not any("lines_through" in stage.__dict__ for stage in chain.stages)
+
+
+def test_fire_rejects_a_successor_that_drops_stage_points(monkeypatch):
+    # A free point, then two more; the second successor loses x1.  x1 is on
+    # no line, so neither the strength nor the inducedness check sees it.
+    glue = generic_mod.canonical_amalgam
+
+    def dropping(a, b, shared):
+        result = glue(a, b, shared)
+        plane = Plane(result.plane.points - a.points, result.plane.lines)
+        return AmalgamResult(plane, result.kind, result.identified_lines)
+
+    monkeypatch.setattr(generic_mod, "canonical_amalgam", dropping)
+    with pytest.raises(
+        PlaneError, match="^builder invariant broken: successor drops stage points$"
+    ):
+        build_generic(2, 1, seeds=[make_plane(["a"]), make_plane(["y", "z"])])
+
+
+@pytest.mark.parametrize(
+    "steps, ext_bound, seeded", [(200, 2, True), (120, 3, False), (500, 2, True)]
+)
+def test_strength_on_the_steps_lines_matches_the_whole_stage(steps, ext_bound, seeded, nd10):
+    # Each stage in its successor, and the stage less the step's base, which
+    # is mostly not strong there.
+    chain = build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
+    verdicts = Counter()
+    for old, new, step in zip(chain.stages, chain.stages[1:], chain.steps):
+        for sub in (old, restrict(new, old.points - step.base)):
+            local = generic_mod._strong_over(sub, new, new.lines - sub.lines)
+            assert local == is_strong(new, sub.points), step.index
+            verdicts[local] += 1
+    assert verdicts[True] >= steps and verdicts[False] > 0
+
+
+def test_strength_on_added_lines_matches_on_random_subplanes():
+    # Any old plane on a subset will do, lines or not: a line the two share
+    # lies inside the subset.
+    rng = random.Random(20)
+    verdicts = Counter()
+    for _ in range(200):
+        points = [f"p{i}" for i in range(rng.randint(3, 10))]
+        plane = make_plane(points, random_lines(rng, points, 12))
+        subset = frozenset(p for p in points if rng.random() < 0.7)
+        for old in (restrict(plane, subset), make_plane(subset)):
+            local = generic_mod._strong_over(old, plane, plane.lines - old.lines)
+            assert local == is_strong(plane, subset), (plane, subset)
+            verdicts[local] += 1
+    assert min(verdicts[True], verdicts[False]) >= 50
+
+
+def test_registry_labels_lazily_and_keeps_the_first_copy_of_each_type(monkeypatch, nd10):
+    builders, offered = [], []
+    init, register = generic_mod._Builder.__init__, generic_mod._Builder._register
+
+    def capture(builder, ext_bound):
+        builders.append(builder)
+        init(builder, ext_bound)
+
+    def record(builder, copy):
+        offered.append(copy)
+        register(builder, copy)
+
+    monkeypatch.setattr(generic_mod._Builder, "__init__", capture)
+    monkeypatch.setattr(generic_mod._Builder, "_register", record)
+    build_generic(500, 2, seeds=[nd10])
+    (builder,) = builders
+    eager = {}  # every offered copy labelled when offered, first of each key kept
+    for copy in offered:
+        if len(copy.points) <= CENSUS_CAP:
+            key, label = canonical_labeling(copy)
+            eager.setdefault(key, (copy.points, {i: p for p, i in label.items()}))
+    assert builder.instances.items() <= eager.items()
+    assert len(builder.instances) < len(eager)
+    for key, value in eager.items():
+        assert builder.instance(key) == value
+    assert builder.instances == eager
+
+
+def test_seeded_build_labels_no_seven_point_plane(monkeypatch, nd10):
+    # The build stops inside tier 6, so no 7-point base is ever asked for.
+    sizes = Counter()
+    labeling = generic_mod.canonical_labeling
+
+    def counted(plane):
+        sizes[len(plane.points)] += 1
+        return labeling(plane)
+
+    monkeypatch.setattr(generic_mod, "canonical_labeling", counted)
+    build_generic(500, 2, seeds=[nd10])
+    assert sizes[6] > 0
+    assert sizes[7] == 0
 
 
 # --- genericity audit -----------------------------------------------------------
