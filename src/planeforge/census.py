@@ -6,16 +6,26 @@ lexicographic order, new labels taken consecutively), then collapses the
 survivors by canonical key, keeping the first line set of each key.  Class
 representatives are relabelled onto letters through the canonical labelling
 that attains the key, and the census is ordered by key.
+
+Strong extensions of a base are enumerated one size of new points at a
+time, as line sets that keep the base induced.  Strength over the base is
+decided while they are generated, not by a flow afterwards: the base is
+strong exactly when no nonempty set Y of new points (at most 15 of them)
+loses more than |Y| to the lines, and a line never lowers a loss, so a
+branch that breaks this is cut with everything below it.  The pruning is
+therefore exact (see _strong_line_sets).  The survivors collapse by their
+key over the base, keeping the first line set of each key.
 """
 
 from __future__ import annotations
 
 import string
+from collections.abc import Iterator
 from itertools import combinations, permutations
 
 from .errors import BudgetExceeded, PreconditionError
 from .plane import Plane, make_plane, validate
-from .predim import in_K0, is_strong
+from .predim import in_K0
 
 CENSUS_CAP = 7
 EXTENSION_CAP = 4
@@ -263,8 +273,9 @@ def _fresh_names(base: Plane, count: int) -> list[str]:
     return names
 
 
-def _extension_line_sets(base: Plane, new: list[str]):
-    """Yield every valid line set extending ``base`` by points ``new``.
+def _strong_line_sets(base: Plane, new: list[str]):
+    """Yield every valid line set extending ``base`` by points ``new`` in
+    which ``base`` is strong, in depth-first order.
 
     Each base line may absorb a subset of the new points; additional lines
     use at most two base points and at least one new point, so the trace of
@@ -273,11 +284,31 @@ def _extension_line_sets(base: Plane, new: list[str]):
     pair bitmasks; two lines may share at most one point, which is the same
     as their pair masks being disjoint (extended base lines contribute only
     the pairs they add beyond their base line).
+
+    Strength is decided here, with no flow.  Every set between the base and
+    the extension B is base | Y for some Y among the new points, so by
+    definition the base is strong in B exactly when delta(base | Y) >=
+    delta(base) for every nonempty Y, and delta(base | Y) - delta(base) is
+    |Y| less the loss of Y: over the lines l of B, with b base points each,
+    the sum of max(b + |l & Y| - 2, 0) - max(b - 2, 0).  Every term is
+    nonnegative, so adding a line never lowers a loss, and a branch is cut
+    as soon as some loss exceeds |Y|: no line set below it is strong.  The
+    cut branches hold only line sets that are not strong, so the line sets
+    yielded are exactly the strong ones, in the order of the uncut search.
+
+    The slack |Y| - loss(Y) of every Y (the empty one included, at zero)
+    is kept in one integer, a byte per Y with its top bit set while the
+    slack is nonnegative; a line's losses are packed alike and subtracted
+    at once.  A loss per line is at most |Y| <= EXTENSION_CAP, so a field
+    never borrows from the next before its branch is cut.
     """
     allpts = sorted(base.points) + list(new)
     pair_index = {
         tuple(sorted(pair)): i for i, pair in enumerate(combinations(allpts, 2))
     }
+    subsets = range(1 << len(new))
+    guard = sum(0x80 << 8 * y for y in subsets)
+    bit = {p: 1 << i for i, p in enumerate(new)}
 
     def mask(pts) -> int:
         m = 0
@@ -285,18 +316,26 @@ def _extension_line_sets(base: Plane, new: list[str]):
             m |= 1 << pair_index[pair]
         return m
 
+    def losses(line) -> int:
+        on_new = sum(bit.get(p, 0) for p in line)
+        b = len(line) - on_new.bit_count()
+        return sum(
+            max(b + (on_new & y).bit_count() - 2, 0) - max(b - 2, 0) << 8 * y
+            for y in subsets
+        )
+
     base_lines = sorted(tuple(sorted(l)) for l in base.lines)
     new_subsets = []
     for size in range(1, len(new) + 1):
         new_subsets.extend(combinations(new, size))
 
-    # options[i] = list of (line tuple, added pair mask) for base line i
+    # options[i] = list of (line tuple, added pair mask, losses) for base line i
     options = []
     for bl in base_lines:
-        opts = [(bl, 0)]
+        opts = [(bl, 0, 0)]
         for sub in new_subsets:
             ext = tuple(sorted(bl + sub))
-            opts.append((ext, mask(ext) & ~mask(bl)))
+            opts.append((ext, mask(ext) & ~mask(bl), losses(ext)))
         options.append(opts)
 
     extra = []
@@ -306,34 +345,35 @@ def _extension_line_sets(base: Plane, new: list[str]):
                 if bsize + len(sub) < 3:
                     continue
                 line = tuple(sorted(bpart + sub))
-                extra.append((line, mask(line)))
+                extra.append((line, mask(line), losses(line)))
     extra.sort()
 
-    def pick_base(i: int, lines: list, used: int):
+    def pick_base(i: int, lines: list, used: int, slack: int):
         if i == len(options):
-            yield from pick_extra(0, lines, used)
+            yield from pick_extra(0, lines, used, slack)
             return
-        for line, extra_mask in options[i]:
-            if extra_mask & used:
+        for line, extra_mask, loss in options[i]:
+            if extra_mask & used or (slack - loss) & guard != guard:
                 continue
             lines.append(line)
-            yield from pick_base(i + 1, lines, used | extra_mask)
+            yield from pick_base(i + 1, lines, used | extra_mask, slack - loss)
             lines.pop()
 
-    def pick_extra(start: int, lines: list, used: int):
+    def pick_extra(start: int, lines: list, used: int, slack: int):
         yield tuple(lines)
         for j in range(start, len(extra)):
-            line, line_mask = extra[j]
-            if line_mask & used:
+            line, line_mask, loss = extra[j]
+            if line_mask & used or (slack - loss) & guard != guard:
                 continue
             lines.append(line)
-            yield from pick_extra(j + 1, lines, used | line_mask)
+            yield from pick_extra(j + 1, lines, used | line_mask, slack - loss)
             lines.pop()
 
     base_pair_mask = 0
     for bl in base_lines:
         base_pair_mask |= mask(bl)
-    yield from pick_base(0, [], base_pair_mask)
+    slack = sum((0x80 + y.bit_count()) << 8 * y for y in subsets)
+    yield from pick_base(0, [], base_pair_mask, slack)
 
 
 def _over_base_key(base: Plane, new: list[str], lines) -> tuple:
@@ -352,13 +392,39 @@ def _over_base_key(base: Plane, new: list[str], lines) -> tuple:
     return (len(new), best)
 
 
+def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
+    """Strong extension classes of ``base`` by exactly ``m`` new points.
+
+    ``base`` must be valid and in K0, as every census plane is; nothing here
+    checks it.  Strength is decided while the line sets are generated (see
+    _strong_line_sets), so no flow is solved.  One representative per
+    isomorphism over the base, the first line set met with its over-base
+    key, yielded in key order.  Strength is kept by such an isomorphism, so
+    a key's first line set stands for the whole class.  No in_K0 check
+    either: by submodularity, delta(X) >= delta(X | base) - delta(base) +
+    delta(X & base) >= 0 for every X once base is strong in B and in K0.
+    """
+    new = _fresh_names(base, m)
+    allpts = list(base.points) + new
+    found: dict[tuple, Plane] = {}
+    for lines in _strong_line_sets(base, new):
+        key = _over_base_key(base, new, lines)
+        if key not in found:
+            found[key] = make_plane(allpts, lines)
+    for key in sorted(found):
+        yield found[key]
+
+
 def enumerate_strong_extensions(base: Plane, k: int) -> list[Plane]:
     """Strong extension classes of ``base`` by at most ``k`` new points.
 
     Returns proper extensions B (at least one new point, named n1, n2, ...)
     with base strong in B, one representative per isomorphism over the base
-    (base points fixed pointwise), in a stable order.  Every B is
-    hereditarily nonnegative, since it is strong over a base that is.
+    (base points fixed pointwise), in a stable order: by over-base key,
+    which starts with the number of new points, so the classes of each size
+    come together, smaller sizes first.  Every B is hereditarily
+    nonnegative, since it is strong over a base that is.  Strength over the
+    base is decided during generation, with no flow (see _strong_line_sets).
     Guarded at 4 new points.
     """
     if k > EXTENSION_CAP:
@@ -370,24 +436,4 @@ def enumerate_strong_extensions(base: Plane, k: int) -> list[Plane]:
     validate(base)
     if not in_K0(base):
         raise PreconditionError("base plane is not hereditarily nonnegative")
-
-    found: dict[tuple, Plane] = {}
-    seen: set[tuple] = set()
-    for m in range(1, k + 1):
-        new = _fresh_names(base, m)
-        allpts = list(base.points) + new
-        for lines in _extension_line_sets(base, new):
-            # One key is one extension up to isomorphism over the base, and
-            # strength over the base is kept by such an isomorphism, so each
-            # key is built and checked once.
-            key = _over_base_key(base, new, lines)
-            if key in seen:
-                continue
-            seen.add(key)
-            # No in_K0 check: by submodularity, delta(X) >= delta(X | base)
-            # - delta(base) + delta(X & base) >= 0 for every X once base is
-            # strong in plane and in K0.
-            plane = make_plane(allpts, lines)
-            if is_strong(plane, base.points):
-                found[key] = plane
-    return [p for _, p in sorted(found.items(), key=lambda kv: kv[0])]
+    return [ext for m in range(1, k + 1) for ext in _strong_extensions_exactly(base, m)]

@@ -8,11 +8,14 @@ the class onto a cached strong subset of that type via canonical
 amalgamation.  Types are swept in tiers ordered by size, so every situation
 is reached after finitely many steps.  Tiers are generated lazily, one
 situation at a time, so a build that stops inside a tier never enumerates
-the rest of it.  Each step keeps its checks exact but local: the old
-stage's strength by a flow on the step's own lines, the lines the successor
-added, which alone decide it (see _Builder.fire); that the old stage is
-induced in the new one, from the lines the step changed; and the amalgam by
-canonical_amalgam's glue-local checks.  K0 is never solved per step: a
+the rest of it.  A tier's templates come one (base, new size) group at a
+time, each size enumerated once, and their strength over the base is
+decided from delta increments while they are generated, so the tiers solve
+no flow (see census._strong_line_sets).  Each step keeps its checks exact
+but local: the old stage's strength by a flow on the step's own lines, the
+lines the successor added, which alone decide it (see _Builder.fire); that
+the old stage is induced in the new one, from the lines the step changed;
+and the amalgam by canonical_amalgam's glue-local checks.  K0 is never solved per step: a
 plane with a strong, induced subplane in K0 is itself in K0 (see
 _Builder.fire), so every stage is in K0 by proof.  canonical_amalgam
 validates its inputs, but a stage is itself a canonical amalgam, valid by
@@ -36,6 +39,7 @@ from .amalgam import canonical_amalgam, classify_primitive, decompose, is_primit
 from .census import (
     CENSUS_CAP,
     EXTENSION_CAP,
+    _strong_extensions_exactly,
     canonical_key,
     canonical_labeling,
     enumerate_planes,
@@ -221,10 +225,10 @@ def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
     Yields in order of base size, then new size, then census base, then
     template, computing each (new size, base) group only when it is reached,
     so a build that stops early in a tier never pays for the rest.  Each
-    base is labelled once; a group keeps the templates of
-    ``enumerate_strong_extensions(base, new_size)`` with exactly
-    ``new_size`` new points, which redoes the smaller sizes but never
-    enumerates a larger one before it is needed.
+    base is labelled once, and each group enumerates the templates of
+    exactly its own new size, once.  Census bases are valid and in K0 by
+    construction, so no group checks its base, and the templates' strength
+    is decided without a flow (see census._strong_line_sets).
     """
     for base_size in range(0, tier + 1):
         new_sizes = [
@@ -239,9 +243,8 @@ def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
                 if i not in labels:
                     labels[i] = canonical_labeling(base)
                 base_key, base_label = labels[i]
-                for template in enumerate_strong_extensions(base, new_size):
-                    if len(template.points) - base_size == new_size:
-                        yield _TypePair(base_key, base_label, template)
+                for template in _strong_extensions_exactly(base, new_size):
+                    yield _TypePair(base_key, base_label, template)
 
 
 def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
@@ -406,10 +409,15 @@ def check_genericity(plane: Plane, radius: int, per_subset: bool = False) -> Aud
     most ``radius`` (size-3 sweeps are skipped past 200k subsets) and counts
     closures that swallow the whole plane.  ``per_subset`` additionally
     checks realization over every strong subset individually — exhaustive,
-    so it is guarded by the subset budget.
+    so it is guarded by the subset budget.  The radius is capped at
+    EXTENSION_CAP, the extension search's cap, before the plane is checked.
     """
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
+    if radius > EXTENSION_CAP:
+        raise BudgetExceeded(
+            f"audit radius capped at {EXTENSION_CAP}, requested {radius}"
+        )
     validate(plane)
     if not in_K0(plane):
         raise PreconditionError("ambient plane is not hereditarily nonnegative")

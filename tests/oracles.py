@@ -248,3 +248,126 @@ def oracle_canonical_labeling(plane):
         if best_key is None or key < best_key:
             best_key, best_label = key, label
     return (len(plane.points), best_key), best_label
+
+
+def oracle_strong_extensions(base, k):
+    """enumerate_strong_extensions by generating every induced line set and
+    keeping those the base is strong in, by the library's max-flow
+    is_strong, one flow per over-base key.
+
+    Shares no code with the library's pruned generator: the line sets, the
+    fresh names and the over-base key are built here.  Returns the same
+    list, in the same order, or raises what enumerate_strong_extensions
+    raises.
+    """
+    from planeforge import (
+        BudgetExceeded,
+        PreconditionError,
+        in_K0,
+        is_strong,
+        make_plane,
+        validate,
+    )
+    from planeforge.census import EXTENSION_CAP
+
+    if k > EXTENSION_CAP:
+        raise BudgetExceeded(
+            f"extension search capped at {EXTENSION_CAP} new points, requested {k}"
+        )
+    if k < 0:
+        raise PreconditionError("extension bound must be nonnegative")
+    validate(base)
+    if not in_K0(base):
+        raise PreconditionError("base plane is not hereditarily nonnegative")
+
+    found, seen = {}, set()
+    for m in range(1, k + 1):
+        new, i = [], 1
+        while len(new) < m:
+            if f"n{i}" not in base.points:
+                new.append(f"n{i}")
+            i += 1
+        allpts = list(base.points) + new
+        for lines in _oracle_extension_line_sets(base, new):
+            key = _oracle_over_base_key(new, lines)
+            if key in seen:
+                continue
+            seen.add(key)
+            plane = make_plane(allpts, lines)
+            if is_strong(plane, base.points):
+                found[key] = plane
+    return [p for _, p in sorted(found.items(), key=lambda kv: kv[0])]
+
+
+def _oracle_extension_line_sets(base, new):
+    """Every valid line set extending ``base`` by ``new`` that keeps the base
+    induced, depth first: base lines absorb subsets of the new points, in
+    turn, then further lines of at most two base points and some new points
+    are added in ascending order; two lines share at most one point."""
+    allpts = sorted(base.points) + list(new)
+    pair_index = {
+        tuple(sorted(pair)): i for i, pair in enumerate(combinations(allpts, 2))
+    }
+
+    def mask(pts):
+        m = 0
+        for pair in combinations(sorted(pts), 2):
+            m |= 1 << pair_index[pair]
+        return m
+
+    base_lines = sorted(tuple(sorted(l)) for l in base.lines)
+    new_subsets = []
+    for size in range(1, len(new) + 1):
+        new_subsets.extend(combinations(new, size))
+    options = []
+    for bl in base_lines:
+        opts = [(bl, 0)]
+        for sub in new_subsets:
+            ext = tuple(sorted(bl + sub))
+            opts.append((ext, mask(ext) & ~mask(bl)))
+        options.append(opts)
+    extra = []
+    for bsize in range(0, 3):
+        for bpart in combinations(sorted(base.points), bsize):
+            for sub in new_subsets:
+                if bsize + len(sub) >= 3:
+                    line = tuple(sorted(bpart + sub))
+                    extra.append((line, mask(line)))
+    extra.sort()
+
+    def pick_base(i, lines, used):
+        if i == len(options):
+            yield from pick_extra(0, lines, used)
+            return
+        for line, extra_mask in options[i]:
+            if not extra_mask & used:
+                lines.append(line)
+                yield from pick_base(i + 1, lines, used | extra_mask)
+                lines.pop()
+
+    def pick_extra(start, lines, used):
+        yield tuple(lines)
+        for j in range(start, len(extra)):
+            line, line_mask = extra[j]
+            if not line_mask & used:
+                lines.append(line)
+                yield from pick_extra(j + 1, lines, used | line_mask)
+                lines.pop()
+
+    used = 0
+    for bl in base_lines:
+        used |= mask(bl)
+    yield from pick_base(0, [], used)
+
+
+def _oracle_over_base_key(new, lines):
+    """Least encoding of a line set over every order of the new points."""
+    best = None
+    for perm in permutations(range(len(new))):
+        rename = {p: (1, perm[i]) for i, p in enumerate(new)}
+        encoded = tuple(
+            sorted(tuple(sorted(rename.get(p, (0, p)) for p in l)) for l in lines)
+        )
+        if best is None or encoded < best:
+            best = encoded
+    return (len(new), best)

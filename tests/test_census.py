@@ -27,7 +27,12 @@ from planeforge import (
 from planeforge.census import CENSUS_CAP, EXTENSION_CAP, canonical_labeling
 
 from .conftest import random_plane
-from .oracles import oracle_canonical_labeling, oracle_in_K0, oracle_is_strong
+from .oracles import (
+    oracle_canonical_labeling,
+    oracle_in_K0,
+    oracle_is_strong,
+    oracle_strong_extensions,
+)
 
 EXACT_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 10}
 
@@ -280,6 +285,20 @@ def test_extensions_pass_independent_oracles():
                 assert oracle_is_strong(template, base.points), (base, template)
                 checked += 1
     assert checked > 100
+
+
+def test_extensions_match_the_flow_oracle_in_order():
+    # The pruned generator against the unpruned one that keeps a line set by
+    # a max-flow is_strong: the same templates, line sets and order.
+    cases = 0
+    for base in enumerate_planes(6):
+        size = len(base.points)
+        ks = [1, 2] + [3] * (size <= 4) + [4] * (size <= 3)
+        for k in ks:
+            got = enumerate_strong_extensions(base, k)
+            assert got == oracle_strong_extensions(base, k), (base, k)
+            cases += 1
+    assert cases == 2 * 23 + 8 + 5
 
 
 def test_extensions_do_not_pin_their_base():

@@ -424,6 +424,14 @@ def test_audit_per_subset(capsys):
     assert "subset_pairs_realized: 7" in out
 
 
+@pytest.mark.parametrize("radius", ["5", "8"])
+def test_audit_radius_past_the_cap_exits_two(capsys, radius):
+    code, out, err = run(capsys, "audit", FIG2, "--radius", radius)
+    assert code == 2
+    assert out == ""
+    assert err == f"precondition error: audit radius capped at 4, requested {radius}\n"
+
+
 def test_witness_figure2(capsys):
     code, out, _ = run(capsys, "witness", "figure2")
     assert code == 0

@@ -8,6 +8,7 @@ import pytest
 
 import planeforge.generic as generic_mod
 import planeforge.plane as plane_mod
+import planeforge.predim as predim_mod
 from planeforge import (
     BudgetExceeded,
     InvalidPlaneError,
@@ -19,6 +20,7 @@ from planeforge import (
     build_generic,
     check_genericity,
     delta,
+    enumerate_planes,
     figure2_plane,
     find_embedding,
     in_K0,
@@ -175,18 +177,40 @@ def test_build_ends_when_the_tiers_run_out():
 
 def test_tiers_are_enumerated_lazily(monkeypatch, nd10):
     # This build stops inside tier 6's (base size 6, new size 1) group, so
-    # the 2-point extensions of 6-point bases are never needed.
+    # the 2-point extensions of 6-point bases are never needed.  Each
+    # (base, new size) group enumerates its own size only, once.
     calls = []
-    enumerate_exts = generic_mod.enumerate_strong_extensions
+    exactly = generic_mod._strong_extensions_exactly
 
-    def counted(base, k):
-        calls.append((len(base.points), k))
-        return enumerate_exts(base, k)
+    def counted(base, m):
+        calls.append((base, m))
+        for template in exactly(base, m):
+            assert len(template.points) == len(base.points) + m
+            yield template
 
-    monkeypatch.setattr(generic_mod, "enumerate_strong_extensions", counted)
+    monkeypatch.setattr(generic_mod, "_strong_extensions_exactly", counted)
     build_generic(470, 2, seeds=[nd10])
-    assert (6, 1) in calls
-    assert (6, 2) not in calls
+    sizes = [(len(base.points), m) for base, m in calls]
+    assert (6, 1) in sizes
+    assert (6, 2) not in sizes
+    assert len(set(calls)) == len(calls)
+
+
+def test_tiers_solve_no_flow(monkeypatch):
+    # Census bases are valid and in K0 by construction, and the templates'
+    # strength is decided while they are generated.
+    enumerate_planes(CENSUS_CAP)
+    solves = []
+    min_delta = predim_mod._min_delta
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return min_delta(*args, **kwargs)
+
+    monkeypatch.setattr(predim_mod, "_min_delta", counted)
+    pairs = sum(1 for t in range(CENSUS_CAP + 1) for _ in generic_mod._tier_pairs(t, 2))
+    assert pairs == 6090
+    assert solves == []
 
 
 def test_build_never_rechecks_a_stage(monkeypatch, nd10):
@@ -461,6 +485,14 @@ def test_audit_guards(fano):
         check_genericity(fano, -1)
     with pytest.raises(PreconditionError):
         check_genericity(AG23, 1)
+
+
+@pytest.mark.parametrize("radius", [5, 7, 8])
+def test_audit_radius_is_capped_before_any_work(radius):
+    # Checked before the plane: even an invalid one gets the radius message.
+    clash = Plane(frozenset("abcd"), frozenset({frozenset("abc"), frozenset("abd")}))
+    with pytest.raises(BudgetExceeded, match=rf"^audit radius capped at 4, requested {radius}$"):
+        check_genericity(clash, radius)
 
 
 def test_audit_skips_huge_icl_sweeps(monkeypatch):
