@@ -9,7 +9,7 @@ that attains the key, and the census is ordered by key.
 
 Strong extensions of a base are enumerated one size of new points at a
 time, as line sets that keep the base induced.  Strength over the base is
-decided while they are generated, not by a flow afterwards: the base is
+decided while they are generated, not by a min-cut afterwards: the base is
 strong exactly when no nonempty set Y of new points (at most 15 of them)
 loses more than |Y| to the lines, and a line never lowers a loss, so a
 branch that breaks this is cut with everything below it.  The pruning is
@@ -285,7 +285,7 @@ def _strong_line_sets(base: Plane, new: list[str]):
     as their pair masks being disjoint (extended base lines contribute only
     the pairs they add beyond their base line).
 
-    Strength is decided here, with no flow.  Every set between the base and
+    Strength is decided here, with no min-cut.  Every set between the base and
     the extension B is base | Y for some Y among the new points, so by
     definition the base is strong in B exactly when delta(base | Y) >=
     delta(base) for every nonempty Y, and delta(base | Y) - delta(base) is
@@ -397,7 +397,7 @@ def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
 
     ``base`` must be valid and in K0, as every census plane is; nothing here
     checks it.  Strength is decided while the line sets are generated (see
-    _strong_line_sets), so no flow is solved.  One representative per
+    _strong_line_sets), so no min-cut is solved.  One representative per
     isomorphism over the base, the first line set met with its over-base
     key, yielded in key order.  Strength is kept by such an isomorphism, so
     a key's first line set stands for the whole class.  No in_K0 check
@@ -424,7 +424,7 @@ def enumerate_strong_extensions(base: Plane, k: int) -> list[Plane]:
     which starts with the number of new points, so the classes of each size
     come together, smaller sizes first.  Every B is hereditarily
     nonnegative, since it is strong over a base that is.  Strength over the
-    base is decided during generation, with no flow (see _strong_line_sets).
+    base is decided during generation, with no min-cut (see _strong_line_sets).
     Guarded at 4 new points.
     """
     if k > EXTENSION_CAP:

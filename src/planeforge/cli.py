@@ -11,6 +11,7 @@ line-oriented ``key: value`` text so shell harnesses can grep them.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -277,7 +278,14 @@ def _cmd_witness(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The verb parser, built on the first call and shared after it.
+
+    argparse keeps no state between parses: each parse_args makes a fresh
+    Namespace, and output streams and the help width are looked up when
+    printing, so repeated main calls behave exactly like fresh processes.
+    """
     parser = argparse.ArgumentParser(
         prog="planeforge",
         description="Predimension calculus on finite rank-3 planes.",

@@ -61,8 +61,9 @@ def subset_budget() -> int:
     """Maximum ground-set size for exhaustive subset enumeration.
 
     Controlled by the PLANEFORGE_BUDGET environment variable (default 20).
-    Only the genuinely exponential searches honor this; the flow-based
-    operations are exact at any size and never consult it.
+    Only the genuinely exponential searches honor this; the min-cut
+    operations (d, icl, strength, K0) are exact at any size and never
+    consult it.
     """
     raw = os.environ.get(_BUDGET_ENV)
     if raw is None:

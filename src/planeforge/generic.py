@@ -11,8 +11,8 @@ situation at a time, so a build that stops inside a tier never enumerates
 the rest of it.  A tier's templates come one (base, new size) group at a
 time, each size enumerated once, and their strength over the base is
 decided from delta increments while they are generated, so the tiers solve
-no flow (see census._strong_line_sets).  Each step keeps its checks exact
-but local: the old stage's strength by a flow on the step's own lines, the
+no min-cut (see census._strong_line_sets).  Each step keeps its checks exact
+but local: the old stage's strength by a min-cut on the step's own lines, the
 lines the successor added, which alone decide it (see _Builder.fire); that
 the old stage is induced in the new one, from the lines the step changed;
 and the amalgam by canonical_amalgam's glue-local checks.  K0 is never solved per step: a
@@ -178,7 +178,7 @@ class _Builder:
         # the added lines.  X over S and its trace on G over S & G differ by
         # the same amount, and every set of G above S & G is the trace of
         # its union with S.  So S is strong in the new stage exactly
-        # when S & G is strong in G, a flow the size of the step.  This
+        # when S & G is strong in G, a min-cut the size of the step.  This
         # needs no inducedness, so the two checks stay independent, but it
         # needs S inside the new stage, which is checked first: G cannot
         # see an old point the successor dropped.
@@ -228,7 +228,7 @@ def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
     base is labelled once, and each group enumerates the templates of
     exactly its own new size, once.  Census bases are valid and in K0 by
     construction, so no group checks its base, and the templates' strength
-    is decided without a flow (see census._strong_line_sets).
+    is decided without a min-cut (see census._strong_line_sets).
     """
     for base_size in range(0, tier + 1):
         new_sizes = [

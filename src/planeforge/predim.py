@@ -3,21 +3,20 @@
 delta(X) = |X| - sum over lines of max(|l cap X| - 2, 0) is submodular, so
 min { delta(X) : A subseteq X subseteq U } is computable exactly by a
 min-cut reduction (select a line, earn its trace nullity, pay one per
-covered point outside A).  All the d / strong / icl / K0 operations run
-through that engine, which is the only code that builds a flow network;
-nothing here enumerates subsets except is_k_strong, whose contract is
-genuinely about bounded-size increments.
+covered point outside A), solved as a line-to-point b-matching.  All the
+d / strong / icl / K0 operations run through that engine, the only min-cut
+solver in the library; nothing here enumerates subsets except is_k_strong,
+whose contract is genuinely about bounded-size increments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, inf
+from math import comb
 from typing import Iterable
 
 from .errors import BudgetExceeded, PreconditionError, subset_budget
-from .flow import FlowNetwork
 from .plane import Plane, rank
 
 
@@ -75,57 +74,104 @@ def _min_delta(
     delta(seed).
 
     Selecting a line earns (trace size - 2) and costs one per trace point
-    outside the seed; a max-flow on the selection network yields the best
-    total.  The source side of the residual graph is the inclusion-minimal
-    optimal selection, and the smallest minimizer keeps exactly the points
-    covered by two or more selected lines.  A line whose trace lies inside
-    the seed costs nothing, so its gain is credited directly and it gets no
-    node: it covers no point outside the seed, so neither the value nor the
-    smallest minimizer changes, and a large seed leaves a network made only
-    of the lines that reach past it.  The same line pass sums the seed's
-    own nullity: a credited line's trace is its trace on the seed, and only
-    a costed line needs its points inside the seed counted.
+    outside the seed.  The best total is a minimum cut of the selection
+    network (Picard 1976): source -> line with capacity (trace size - 2),
+    line -> point unbounded, point -> sink with capacity 1.  The network
+    is bipartite, so its maximum flow is a maximum b-matching (see
+    _select), and the best gain is the credited gain plus the units the
+    lines are left short.  The source side of the minimal minimum cut is
+    the inclusion-minimal optimal selection, and the smallest minimizer
+    keeps exactly the points covered by two or more of its lines.
+    A line whose trace lies inside the seed costs nothing, so its gain is
+    credited directly and it takes no units: it covers no point outside the
+    seed, so neither the value nor the smallest minimizer changes.  The same
+    line pass sums the seed's own nullity: a credited line's trace is its
+    trace on the seed, and only a costed line needs its points inside the
+    seed counted.
     """
-    profit_total = 0
+    credited = 0
     seed_nullity = 0
-    traces = []  # (trace, its points outside the seed), one per costed line
+    reach: list[tuple[str, ...]] = []  # points outside the seed, per costed line
+    demand: list[int] = []  # units each costed line may take
     for line in plane.lines:
         t = line & universe
         if len(t) < 3:
             continue
         outside = t - seed
         if outside:
-            traces.append((t, outside))
+            reach.append(tuple(outside))
+            demand.append(len(t) - 2)
             inside = len(t) - len(outside)
             if inside >= 3:
                 seed_nullity += inside - 2
         else:
-            profit_total += len(t) - 2
+            credited += len(t) - 2
             seed_nullity += len(t) - 2
-    costed = sorted(set().union(*(o for _, o in traces)))
-    pt_node = {p: 2 + len(traces) + i for i, p in enumerate(costed)}
 
-    net = FlowNetwork(2 + len(traces) + len(costed))
-    source, sink = 0, 1
-    for i, (t, outside) in enumerate(traces):
-        node = 2 + i
-        profit_total += len(t) - 2
-        net.add_edge(source, node, len(t) - 2)
-        for p in outside:
-            net.add_edge(node, pt_node[p], inf)
-    for p in costed:
-        net.add_edge(pt_node[p], sink, 1)
-
-    best_gain = profit_total - int(net.max_flow(source, sink))
-    side = net.source_side(source)
-
+    short, side = _select(reach, demand)
     degree: dict[str, int] = {}
-    for i, (_, outside) in enumerate(traces):
-        if 2 + i in side:
-            for p in outside:
-                degree[p] = degree.get(p, 0) + 1
+    for i in side:
+        for p in reach[i]:
+            degree[p] = degree.get(p, 0) + 1
     minimizer = seed | {p for p, d in degree.items() if d >= 2}
+    best_gain = credited + sum(short)
     return len(seed) - best_gain, minimizer, len(seed) - seed_nullity
+
+
+def _select(
+    reach: list[tuple[str, ...]], demand: list[int]
+) -> tuple[list[int], list[int]]:
+    """Solve a selection network as a maximum b-matching.
+
+    Line i may take up to demand[i] of its points reach[i], and each point
+    serves one line.  Every unit is placed along a shortest alternating
+    path.  A line that fails to place a unit keeps its shortfall: no later
+    augmentation gives it a path (Kuhn 1955), so the matching ends maximum.
+    Returns the units each line is left short and the lines of the minimal
+    minimum cut's source side: those that alternating paths reach from the
+    short ones, the same for every maximum matching.  Every point such a
+    line reaches serves some line, or there would be an augmenting path.
+    """
+    short = list(demand)
+    owner: dict[str, int] = {}  # point -> the line it serves
+    for i, points in enumerate(reach):
+        for p in points:  # free points first: each is a one-step path
+            if short[i] and p not in owner:
+                owner[p] = i
+                short[i] -= 1
+        while short[i] and _augment(i, reach, owner):
+            short[i] -= 1
+    side = [i for i, units in enumerate(short) if units]
+    seen = set(side)
+    for i in side:
+        for p in reach[i]:
+            holder = owner[p]
+            if holder not in seen:
+                seen.add(holder)
+                side.append(holder)
+    return short, side
+
+
+def _augment(start: int, reach: list[tuple[str, ...]], owner: dict[str, int]) -> bool:
+    """Place one more unit for line `start` along a shortest alternating
+    path: each line on it hands the point it was reached by to the line
+    before, and the last one takes a free point.  False if there is none."""
+    came_from: dict[int, tuple[int, str] | None] = {start: None}
+    queue = [start]
+    for i in queue:
+        for p in reach[i]:
+            holder = owner.get(p)
+            if holder is None:
+                step: tuple[int, str] | None = (i, p)
+                while step is not None:
+                    i, p = step
+                    owner[p] = i
+                    step = came_from[i]
+                return True
+            if holder not in came_from:
+                came_from[holder] = (i, p)
+                queue.append(holder)
+    return False
 
 
 def _seed_and_universe(
@@ -151,7 +197,7 @@ def d_value(
 
 def d_rel(plane: Plane, subset: Iterable[str], base: Iterable[str]) -> int:
     """d(A / B) = d(A u B) - d(B)."""
-    a = frozenset(subset)
+    a = _as_subset(plane, subset, "d_rel")
     b = _as_subset(plane, base, "d_rel")
     return d_value(plane, a | b) - d_value(plane, b)
 

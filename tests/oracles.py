@@ -1,7 +1,7 @@
 """Naive reference implementations used to cross-check the library.
 
 Everything here works by full enumeration over all supersets, straight from
-the definitions, sharing no code with the flow-based engine.  Exponential on
+the definitions, sharing no code with the min-cut engine.  Exponential on
 purpose — only run these on small planes.
 """
 
@@ -252,8 +252,8 @@ def oracle_canonical_labeling(plane):
 
 def oracle_strong_extensions(base, k):
     """enumerate_strong_extensions by generating every induced line set and
-    keeping those the base is strong in, by the library's max-flow
-    is_strong, one flow per over-base key.
+    keeping those the base is strong in, by the library's min-cut
+    is_strong, one solve per over-base key.
 
     Shares no code with the library's pruned generator: the line sets, the
     fresh names and the over-base key are built here.  Returns the same

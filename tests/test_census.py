@@ -276,7 +276,7 @@ def test_extension_guards():
 
 def test_extensions_pass_independent_oracles():
     # Templates are kept for being strong over a K0 base; the oracles check
-    # that and the K0 membership it implies, without the flow engine.
+    # that and the K0 membership it implies, without the min-cut engine.
     checked = 0
     for base in enumerate_planes(4):
         for k in (1, 2):
@@ -289,7 +289,7 @@ def test_extensions_pass_independent_oracles():
 
 def test_extensions_match_the_flow_oracle_in_order():
     # The pruned generator against the unpruned one that keeps a line set by
-    # a max-flow is_strong: the same templates, line sets and order.
+    # a min-cut is_strong: the same templates, line sets and order.
     cases = 0
     for base in enumerate_planes(6):
         size = len(base.points)

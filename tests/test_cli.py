@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from planeforge import parse_plane, read_plane
+from planeforge import cli
 from planeforge.cli import main
 
 from .conftest import DATA, library_env
@@ -529,3 +530,79 @@ def test_witness_unwritable_output_prints_nothing(tmp_path, capsys):
     code, out, err = run(capsys, "witness", "figure2", "--output", _unwritable(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("io error: ")
+
+
+# --- one parser, many calls -------------------------------------------------
+
+
+def test_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
+def test_repeated_calls_keep_no_options(tmp_path, capsys):
+    # Interleaved calls in one process: an option given to one call never
+    # leaks into the next, whose output is that of a fresh process.
+    a = tmp_path / "a.plane"
+    b = tmp_path / "b.plane"
+    a.write_text("plane a\npoints p q x\nline p q x\n")
+    b.write_text("plane b\npoints p q y\nline p q y\n")
+    glued = tmp_path / "glued.plane"
+    amalgam = (
+        "amalgam: canonical\npoints: 4\nlines: 1\ndelta: 2\n"
+        "identified: p q x == p q y\n"
+    )
+    calls = [
+        (("strong", FANO, "--subset", "1", "-k", "1"), 0, "k: 1\nstrong: true\n"),
+        (("strong", FANO, "--subset", "1"), 1, "strong: false\n"),
+        (("icl", FANO, "--subset", "1", "--within", "1 2 4"), 0,
+         "icl: 1\nsize: 1\nfrontier: false\n"),
+        (("icl", FANO, "--subset", "1"), 0,
+         "icl: 1 2 3 4 5 6 7\nsize: 7\nfrontier: true\n"),
+        (("amalgamate", str(a), str(b), "--mode", "canonical", "--output", str(glued)),
+         0, amalgam),
+        (("amalgamate", str(a), str(b), "--mode", "canonical"), 0, amalgam),
+    ]
+    for argv, code, out in calls:
+        if "--output" not in argv:
+            glued.unlink(missing_ok=True)
+        assert run(capsys, *argv) == (code, out, "")
+        assert glued.exists() == ("--output" in argv)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["strong", FANO], "the following arguments are required: --subset"),
+        (["strong", FANO, "--subset", "1", "-k", "x"], "invalid int value: 'x'"),
+    ],
+)
+def test_usage_error_then_a_valid_call(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert message in out.err
+    assert run(capsys, "strong", FANO, "--subset", "1", "-k", "1") == (
+        0, "k: 1\nstrong: true\n", ""
+    )
+
+
+def _help(capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_width_follows_columns_set_later(monkeypatch, capsys):
+    widths = {}
+    for columns in (120, 40):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        text = _help(capsys)
+        assert text == cli._parser.__wrapped__().format_help()
+        widths[columns] = text
+    assert widths[120] != widths[40]
+    assert "Predimension calculus on finite rank-3 planes." in widths[120]
+    assert "Predimension calculus on finite rank-3 planes." not in widths[40]

@@ -85,6 +85,13 @@ def test_d_rel(fano):
     assert d_rel(fano, fano.points, frozenset("1")) == 0
 
 
+def test_d_rel_names_itself_and_the_stray_point(fano):
+    with pytest.raises(PreconditionError, match=r"^d_rel: \['z'\] outside plane$"):
+        d_rel(fano, {"z"}, {"1"})
+    with pytest.raises(PreconditionError, match=r"^d_rel: \['z'\] outside plane$"):
+        d_rel(fano, {"1"}, {"z"})
+
+
 def test_icl_fixtures(fano, fig2):
     # any fano point drags in the whole plane
     assert icl(fano, frozenset("1")) == fano.points
