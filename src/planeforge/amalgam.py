@@ -15,7 +15,10 @@ Its own output is then valid by proof rather than by a whole-plane check.
 One pass per side picks out the lines meeting C twice; the shared-part
 agreement, the wedge check and the line classes read only those, and
 additivity is checked by an exact identity over the lines out gained from
-or took from the first plane, never by a whole-plane delta.
+or took from the first plane, read off the glue, never by a whole-plane
+delta.  The pass over the first plane is canonical_amalgam's own; the
+generic builder skips it, handing the glue the stage lines through C from
+an index it keeps (see _canonical_glue).
 """
 
 from __future__ import annotations
@@ -96,10 +99,18 @@ def _based_lines(
     In a valid plane at most one line carries a given trace (two would
     share two points), so each trace names one line.
     """
+    return _based_among(plane.lines, c)
+
+
+def _based_among(
+    lines: Iterable[frozenset[str]], c: frozenset[str]
+) -> tuple[dict[frozenset[str], frozenset[str]], bool]:
+    """_based_lines over ``lines``, which must hold every line of the plane
+    that meets C at least twice; any other line in it is skipped."""
     based: dict[frozenset[str], frozenset[str]] = {}
     seen: set[str] = set()
     wedge = True
-    for line in plane.lines:
+    for line in lines:
         trace = line & c
         if len(trace) >= 2:
             based[trace] = line
@@ -161,9 +172,36 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
     Additivity delta(out) = delta(a) + delta(b) - delta(C) is checked in the
     exact form delta(out) - delta(a) = delta(b) - delta(C), whose left side
     is the point growth minus the nullity of the lines out gained from a
-    plus that of the lines it took from a; those two line sets are found
-    by comparing every line of out with the lines of a.
+    plus that of the lines it took from a; both line sets are read off the
+    glue, never off a comparison of whole line sets.
+
+    This entry finds the first plane's lines meeting C twice by a pass over
+    all its lines.  The generic builder keeps an index of its stage and
+    hands those lines to the same glue itself (see _canonical_glue).
     """
+    return _canonical_glue(a, b, shared, a.lines)
+
+
+def _union(la: frozenset[str], lb: frozenset[str]) -> frozenset[str]:
+    """la | lb, as the very operand that already holds the other, if one
+    does: a line the glue leaves unchanged stays one object, which the
+    stages share and which compares by identity."""
+    if lb <= la:
+        return la
+    if la <= lb:
+        return lb
+    return la | lb
+
+
+def _canonical_glue(
+    a: Plane,
+    b: Plane,
+    shared: Iterable[str],
+    a_lines: Iterable[frozenset[str]],
+) -> AmalgamResult:
+    """canonical_amalgam, given ``a_lines``: lines of ``a`` that include
+    every line meeting C at least twice.  Only those lines of ``a`` are
+    read, besides the set operations that build the output."""
     validate(a)
     validate(b)
     c = frozenset(shared)
@@ -171,7 +209,7 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
         raise PreconditionError(
             "canonical_amalgam: shared part must equal the point intersection"
         )
-    based_a, wedge_a = _based_lines(a, c)
+    based_a, wedge_a = _based_among(a_lines, c)
     based_b, wedge_b = _based_lines(b, c)
     core_lines = {t for t in based_a if len(t) >= 3}
     if core_lines != {t for t in based_b if len(t) >= 3}:
@@ -188,20 +226,19 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
     identified: set[tuple[frozenset[str], frozenset[str]]] = set()
     for trace in based_a.keys() | based_b.keys():
         la, lb = based_a.get(trace), based_b.get(trace)
-        merged.add((la or trace) | (lb or trace))
+        merged.add(_union(la or trace, lb or trace))
         if la and lb and la != lb:
             identified.add((la, lb))
-    lines = (
-        a.lines.difference(based_a.values())
-        | b.lines.difference(based_b.values())
-        | merged
-    )
-    out = Plane(a.points | b.points, lines)
+    glued = merged | b.lines.difference(based_b.values())
+    # out keeps every line of a that meets C at most once, so it adds the
+    # glued lines a lacks and drops the lines of a meeting C twice that no
+    # glued line equals: out's lines are a's with those two sets toggled
+    added = glued - a.lines
+    dropped = [line for line in based_a.values() if line not in glued]
+    out = Plane(a.points | b.points, a.lines.symmetric_difference([*added, *dropped]))
     _record_valid(out)
     growth = (
-        len(out.points) - len(a.points)
-        - _nullity(out.lines - a.lines)
-        + _nullity(a.lines - out.lines)
+        len(out.points) - len(a.points) - _nullity(added) + _nullity(dropped)
     )
     if growth != delta(b) - (len(c) - _nullity(core_lines)):
         gained = delta(a) + delta(b) - delta(a, c)
@@ -267,6 +304,8 @@ def decompose(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> Decom
     so each step is primitive and the chain is as long as possible.
     """
     lo, up = frozenset(lower), frozenset(upper)
+    if not lo <= up <= plane.points:
+        raise PreconditionError("decompose: need lower ⊆ upper ⊆ plane")
     if not is_strong(plane, lo, up):
         raise NotStrong("decompose: lower part is not strong in the upper")
     chain = [lo]

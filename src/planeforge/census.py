@@ -128,27 +128,38 @@ def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
         for i in on[p]:
             known[i].pop()
 
-    def visit(d: int) -> None:
-        nonlocal best_key, best_order
-        start = d
+    # The search runs as a loop over the open nodes, deepest last, so a call
+    # leaves no self-calling closure, and no reference cycle, behind.  A
+    # node holds the labels placed before it was entered and the choices for
+    # its first searched label not tried yet; one entered past its bound, or
+    # at a leaf, opens with none.
+    open_nodes: list[tuple[int, Iterator[str]]] = []
+    entry = 0  # labels placed before the node being entered
+    while True:
+        d = len(order)
         while d < n and len(choices[d]) == 1:  # fixed labels need no branching
             place(choices[d][0])
             d += 1
         bound = _lower_bound(known, sizes, d)
-        if best_key is None or bound < best_key:
-            if d == n:
-                best_key, best_order = bound, order[:]
-            else:
-                for p in choices[d]:
-                    if p not in placed:
-                        place(p)
-                        visit(d + 1)
-                        unplace()
-        while len(order) > start:
-            unplace()
-
-    visit(0)
-    return (n, best_key), {p: i for i, p in enumerate(best_order)}
+        below = best_key is None or bound < best_key
+        if below and d == n:
+            best_key, best_order = bound, order[:]
+        open_nodes.append((entry, iter(choices[d] if below and d < n else ())))
+        while open_nodes:  # enter the next child of the deepest open node
+            node_entry, untried = open_nodes[-1]
+            for p in untried:
+                if p not in placed:
+                    break
+            else:  # no child left: close the node
+                open_nodes.pop()
+                while len(order) > node_entry:
+                    unplace()
+                continue
+            entry = len(order)
+            place(p)
+            break
+        else:
+            return (n, best_key), {p: i for i, p in enumerate(best_order)}
 
 
 def _lower_bound(known: list[list[int]], sizes: list[int], d: int) -> tuple:
@@ -191,10 +202,13 @@ def _labeled_line_sets(n: int) -> list[tuple[tuple[int, ...], ...]]:
             m |= 1 << pair_index[pair]
         masks.append(m)
 
-    out: list[tuple[tuple[int, ...], ...]] = []
-
-    def grow(start: int, chosen: list, used_mask: int, covered: int) -> None:
-        out.append(tuple(chosen))
+    out: list[tuple[tuple[int, ...], ...]] = [()]
+    # Depth first, each line set listed when first reached: a node is its
+    # lines, the next candidate to try, the pairs they use and the labels
+    # they cover; it goes back on the stack under the child it enters.
+    stack = [((), 0, 0, 0)]
+    while stack:
+        chosen, start, used_mask, covered = stack.pop()
         for i in range(start, len(candidates)):
             line = candidates[i]
             fresh = [p for p in line if p >= covered]
@@ -202,11 +216,11 @@ def _labeled_line_sets(n: int) -> list[tuple[tuple[int, ...], ...]]:
                 continue
             if masks[i] & used_mask:
                 continue
-            chosen.append(line)
-            grow(i + 1, chosen, used_mask | masks[i], covered + len(fresh))
-            chosen.pop()
-
-    grow(0, [], 0, 0)
+            child = (*chosen, line)
+            out.append(child)
+            stack.append((chosen, i + 1, used_mask, covered))
+            stack.append((child, i + 1, used_mask | masks[i], covered + len(fresh)))
+            break
     return out
 
 
@@ -348,32 +362,46 @@ def _strong_line_sets(base: Plane, new: list[str]):
                 extra.append((line, mask(line), losses(line)))
     extra.sort()
 
-    def pick_base(i: int, lines: list, used: int, slack: int):
-        if i == len(options):
-            yield from pick_extra(0, lines, used, slack)
-            return
-        for line, extra_mask, loss in options[i]:
-            if extra_mask & used or (slack - loss) & guard != guard:
-                continue
-            lines.append(line)
-            yield from pick_base(i + 1, lines, used | extra_mask, slack - loss)
-            lines.pop()
-
-    def pick_extra(start: int, lines: list, used: int, slack: int):
-        yield tuple(lines)
-        for j in range(start, len(extra)):
-            line, line_mask, loss = extra[j]
-            if line_mask & used or (slack - loss) & guard != guard:
-                continue
-            lines.append(line)
-            yield from pick_extra(j + 1, lines, used | line_mask, slack - loss)
-            lines.pop()
-
     base_pair_mask = 0
     for bl in base_lines:
         base_pair_mask |= mask(bl)
     slack = sum((0x80 + y.bit_count()) << 8 * y for y in subsets)
-    yield from pick_base(0, [], base_pair_mask, slack)
+    yield from _pick_base(options, extra, guard, 0, [], base_pair_mask, slack)
+
+
+def _pick_base(
+    options: list, extra: list, guard: int, i: int, lines: list, used: int, slack: int
+):
+    """_strong_line_sets' search from base line ``i`` on: each base line
+    takes one of its options, then the extra lines are picked.  A module
+    function, not a closure, so a search leaves no reference cycle."""
+    if i == len(options):
+        yield from _pick_extra(extra, guard, 0, lines, used, slack)
+        return
+    for line, extra_mask, loss in options[i]:
+        if extra_mask & used or (slack - loss) & guard != guard:
+            continue
+        lines.append(line)
+        yield from _pick_base(
+            options, extra, guard, i + 1, lines, used | extra_mask, slack - loss
+        )
+        lines.pop()
+
+
+def _pick_extra(
+    extra: list, guard: int, start: int, lines: list, used: int, slack: int
+):
+    """_strong_line_sets' search over the extra lines from ``start`` on."""
+    yield tuple(lines)
+    for j in range(start, len(extra)):
+        line, line_mask, loss = extra[j]
+        if line_mask & used or (slack - loss) & guard != guard:
+            continue
+        lines.append(line)
+        yield from _pick_extra(
+            extra, guard, j + 1, lines, used | line_mask, slack - loss
+        )
+        lines.pop()
 
 
 def _over_base_key(base: Plane, new: list[str], lines) -> tuple:

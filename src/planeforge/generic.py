@@ -15,14 +15,19 @@ no min-cut (see census._strong_line_sets).  Each step keeps its checks exact
 but local: the old stage's strength by a min-cut on the step's own lines, the
 lines the successor added, which alone decide it (see _Builder.fire); that
 the old stage is induced in the new one, from the lines the step changed;
-and the amalgam by canonical_amalgam's glue-local checks.  K0 is never solved per step: a
-plane with a strong, induced subplane in K0 is itself in K0 (see
-_Builder.fire), so every stage is in K0 by proof.  canonical_amalgam
+and the amalgam by canonical_amalgam's glue-local checks.  The glue reads
+only the stage lines through the base: the builder keeps a point -> lines
+index of its current stage, updated from the lines each step adds and
+drops, and hands those lines to amalgam._canonical_glue, so the glue
+makes no pass of its own over the stage (the stages keep no index).  K0 is never
+solved per step: a plane with a strong, induced subplane in K0 is itself
+in K0 (see _Builder.fire), so every stage is in K0 by proof.  The glue
 validates its inputs, but a stage is itself a canonical amalgam, valid by
 proof and marked so, so only the small glued copy is ever checked in full
 (see canonical_amalgam).  Glued copies are labelled on demand: a copy
-waits in a queue for its point count until a base of that size is asked
-for (see _Builder.instance).
+waits in a queue for its shape, its point count and sorted line sizes,
+which a canonical key fixes, until a base of that shape is asked for (see
+_Builder.instance).
 check_genericity measures how much of that closure a finished stage
 actually exhibits.
 """
@@ -35,7 +40,13 @@ from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb
 
-from .amalgam import canonical_amalgam, classify_primitive, decompose, is_primitive
+from .amalgam import (
+    _canonical_glue,
+    canonical_amalgam,
+    classify_primitive,
+    decompose,
+    is_primitive,
+)
 from .census import (
     CENSUS_CAP,
     EXTENSION_CAP,
@@ -115,8 +126,11 @@ class _Builder:
         self.counter = 0
         # type key -> (instance points, map canonical-label -> stage point)
         self.instances: dict = {}
-        # point count -> offered copies not labelled yet, in offer order
-        self.queued: dict[int, deque] = {}
+        # shape -> offered copies not labelled yet, in offer order
+        self.queued: dict[tuple, deque] = {}
+        # point -> lines of the current stage through it, kept up to date
+        # from the lines each step adds and drops
+        self.through: dict[str, list[frozenset[str]]] = {}
         # the empty stage, as a plane of its own: labelling caches incidence
         # indices on the plane it labels, and stages keep none
         self._register(make_plane(()))
@@ -124,20 +138,21 @@ class _Builder:
     def _register(self, copy: Plane) -> None:
         """Offer ``copy``, a subplane induced in the stage, as a base instance."""
         if len(copy.points) <= CENSUS_CAP:  # tier bases stay census-sized
-            self.queued.setdefault(len(copy.points), deque()).append(copy)
+            shape = _shape(len(copy.points), copy.lines)
+            self.queued.setdefault(shape, deque()).append(copy)
 
     def instance(self, key: tuple):
         """The first offered copy of type ``key`` as (points, label map), or
         None if no copy offered so far has that type.
 
-        Copies are labelled only here.  A key (n, ...) is looked up among the
-        labelled copies first, then the queued n-point copies are labelled
-        in offer order, each key kept the first time it appears, until the
-        key turns up.  Copies of other sizes never share the key, so every
-        key keeps the first offered copy that has it, as if each copy had
-        been labelled when offered.
+        Copies are labelled only here.  A key is looked up among the
+        labelled copies first, then the queued copies of the key's shape
+        (see _shape) are labelled in offer order, each key kept the first
+        time it appears, until the key turns up.  Copies of another shape
+        never share the key, so every key keeps the first offered copy that
+        has it, as if each copy had been labelled when offered.
         """
-        queue = self.queued.get(key[0], ())
+        queue = self.queued.get(_shape(*key), ())
         while key not in self.instances and queue:
             copy = queue.popleft()
             copy_key, label = canonical_labeling(copy)
@@ -161,7 +176,10 @@ class _Builder:
             [[rename[p] for p in l] for l in template.lines],
         )
         old = self.stage
-        result = canonical_amalgam(old, concrete, inst_points)
+        # the stage lines meeting the base twice, counted through its points
+        on_base = Counter(l for p in inst_points for l in self.through.get(p, ()))
+        meeting = [line for line, k in on_base.items() if k >= 2]
+        result = _canonical_glue(old, concrete, inst_points, meeting)
         new_stage = result.plane
         # The new stage is in K0 by proof.  delta is submodular, so for every
         # X inside it, delta(X) >= delta(X | S) - delta(S) + delta(X & S)
@@ -191,11 +209,18 @@ class _Builder:
         added = new_stage.lines - old.lines
         if not _strong_over(old, new_stage, added):
             raise PlaneError("builder invariant broken: stage not strong in successor")
+        dropped = old.lines - new_stage.lines
         traces = Counter(
             line & old.points for line in added if len(line & old.points) >= 3
         )
-        if traces != Counter(old.lines - new_stage.lines):
+        if traces != Counter(dropped):
             raise PlaneError("builder invariant broken: stage not induced in successor")
+        for line in dropped:
+            for p in line:
+                self.through[p].remove(line)
+        for line in added:
+            for p in line:
+                self.through.setdefault(p, []).append(line)
         self.records.append(
             StepRecord(
                 index=len(self.records),
@@ -209,6 +234,12 @@ class _Builder:
         self.stage = new_stage
         self.stages.append(new_stage)
         self._register(concrete)
+
+
+def _shape(n: int, lines) -> tuple:
+    """A plane's point count and sorted line sizes, from the count and its
+    lines or from its canonical key, whose line tuples keep their sizes."""
+    return n, tuple(sorted(map(len, lines)))
 
 
 def _strong_over(old: Plane, new: Plane, added: frozenset) -> bool:

@@ -183,6 +183,19 @@ def test_decompose_guards(fano, monkeypatch):
         decompose(big, frozenset(), big.points)
 
 
+@pytest.mark.parametrize(
+    "lower, upper",
+    [("abc", "a"), ("z", "abcdefz"), ("a", "az"), ("", "abcdefz")],
+)
+def test_decompose_names_itself_when_the_sets_do_not_nest(fig2, lower, upper):
+    # Checked first, as is_primitive does, so the message names decompose
+    # rather than is_strong.
+    with pytest.raises(
+        PreconditionError, match="^decompose: need lower ⊆ upper ⊆ plane$"
+    ):
+        decompose(fig2, frozenset(lower), frozenset(upper))
+
+
 def test_sharp_step_free_side():
     base = make_plane("cde", ["cde"])
     ext = make_plane("cx")
@@ -455,15 +468,16 @@ def test_canonical_amalgam_reports_an_invalid_input_first():
 @pytest.mark.parametrize("steps, ext_bound", [(200, 2), (120, 3)])
 def test_builder_steps_match_whole_plane_oracle(monkeypatch, nd10, steps, ext_bound):
     glued = []
+    glue = generic_mod._canonical_glue
 
-    def checked(a, b, shared):
-        got = canonical_amalgam(a, b, shared)
+    def checked(a, b, shared, a_lines):
+        got = glue(a, b, shared, a_lines)
         want = oracle_canonical_amalgam(a, b, shared)
         assert (got.plane, got.identified_lines) == want
         glued.append(got)
         return got
 
-    monkeypatch.setattr(generic_mod, "canonical_amalgam", checked)
+    monkeypatch.setattr(generic_mod, "_canonical_glue", checked)
     chain = generic_mod.build_generic(steps, ext_bound, seeds=[nd10])
     assert len(glued) == steps
     assert [g.plane for g in glued] == list(chain.stages[1:])

@@ -314,3 +314,25 @@ def test_extension_determinism():
     tri = make_plane("abc", ["abc"])
     assert enumerate_strong_extensions(tri, 1) == enumerate_strong_extensions(tri, 1)
     assert len(enumerate_strong_extensions(tri, 1)) == 2
+
+
+def test_searches_leave_no_reference_cycles():
+    # Labelling, the census's line-set search and extension enumeration hold
+    # no closure that calls itself, so every call frees all it made without
+    # the cyclic collector.
+    planes = enumerate_planes(6)
+    gc.collect()
+    gc.disable()
+    try:
+        for plane in planes:
+            canonical_labeling(plane)
+        for n in range(6):
+            census_mod._labeled_line_sets(n)
+        for base in planes:
+            if len(base.points) <= 5:
+                for m in (1, 2):
+                    list(census_mod._strong_extensions_exactly(base, m))
+        left = gc.collect()
+    finally:
+        gc.enable()
+    assert left == 0

@@ -340,6 +340,12 @@ def test_decompose_not_strong(capsys):
     assert "error" in err
 
 
+def test_decompose_upper_below_lower(capsys):
+    code, out, err = run(capsys, "decompose", FIG2, "--lower", "a b c", "--upper", "a")
+    assert (code, out) == (2, "")
+    assert err == "precondition error: decompose: need lower ⊆ upper ⊆ plane\n"
+
+
 def test_embed_found(tmp_path, capsys):
     tri = tmp_path / "tri.plane"
     tri.write_text("plane tri\npoints x y z\nline x y z\n")

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import random
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import planeforge.amalgam as amalgam_mod
 import planeforge.generic as generic_mod
 import planeforge.plane as plane_mod
 import planeforge.predim as predim_mod
@@ -233,8 +235,9 @@ def test_build_never_rechecks_a_stage(monkeypatch, nd10):
 
 
 # A two-step build (the ten-point seed, then two free points) whose second
-# successor is corrupted after canonical_amalgam.  Each corruption keeps the
-# old stage's points; fire must reject it with the message given.
+# successor is corrupted after the glue (amalgam._canonical_glue).  Each
+# corruption keeps the old stage's points; fire must reject it with the
+# message given.
 CORRUPTED_SUCCESSORS = """
 from planeforge import PlaneError, build_generic, generic, make_plane
 from planeforge import non_desarguesian_plane
@@ -264,12 +267,12 @@ CASES = {
     "old-line-dropped": (NOT_INDUCED, lambda ls: ls - {OLD}),
 }
 
-REAL_GLUE = generic.canonical_amalgam
+REAL_GLUE = generic._canonical_glue
 
 
 def corrupting(mutate):
-    def glue(a, b, shared):
-        result = REAL_GLUE(a, b, shared)
+    def glue(a, b, shared, a_lines):
+        result = REAL_GLUE(a, b, shared, a_lines)
         if not a.points:  # the first step: keep it
             return result
         plane = Plane(result.plane.points, frozenset(mutate(result.plane.lines)))
@@ -284,7 +287,7 @@ def build():
 
 if __name__ == "__main__":
     for name, (message, mutate) in CASES.items():
-        generic.canonical_amalgam = corrupting(mutate)
+        generic._canonical_glue = corrupting(mutate)
         try:
             build()
         except PlaneError as exc:
@@ -298,7 +301,7 @@ exec(CORRUPTED_SUCCESSORS, _CORRUPTED)
 @pytest.mark.parametrize("case", sorted(_CORRUPTED["CASES"]))
 def test_fire_rejects_a_successor_not_strong_or_not_induced(monkeypatch, case):
     message, mutate = _CORRUPTED["CASES"][case]
-    monkeypatch.setattr(generic_mod, "canonical_amalgam", _CORRUPTED["corrupting"](mutate))
+    monkeypatch.setattr(generic_mod, "_canonical_glue", _CORRUPTED["corrupting"](mutate))
     with pytest.raises(PlaneError, match=f"^builder invariant broken: {message}$"):
         _CORRUPTED["build"]()
 
@@ -323,14 +326,14 @@ def test_build_stages_keep_no_incidence_index(nd10):
 def test_fire_rejects_a_successor_that_drops_stage_points(monkeypatch):
     # A free point, then two more; the second successor loses x1.  x1 is on
     # no line, so neither the strength nor the inducedness check sees it.
-    glue = generic_mod.canonical_amalgam
+    glue = generic_mod._canonical_glue
 
-    def dropping(a, b, shared):
-        result = glue(a, b, shared)
+    def dropping(a, b, shared, a_lines):
+        result = glue(a, b, shared, a_lines)
         plane = Plane(result.plane.points - a.points, result.plane.lines)
         return AmalgamResult(plane, result.kind, result.identified_lines)
 
-    monkeypatch.setattr(generic_mod, "canonical_amalgam", dropping)
+    monkeypatch.setattr(generic_mod, "_canonical_glue", dropping)
     with pytest.raises(
         PlaneError, match="^builder invariant broken: successor drops stage points$"
     ):
@@ -410,6 +413,78 @@ def test_seeded_build_labels_no_seven_point_plane(monkeypatch, nd10):
     build_generic(500, 2, seeds=[nd10])
     assert sizes[6] > 0
     assert sizes[7] == 0
+
+
+def test_seeded_build_labels_only_copies_of_the_asked_shape(monkeypatch, nd10):
+    # A key fixes its point count and line sizes, so only queued copies of
+    # that shape are labelled: 23 here, against 142 when every queued copy
+    # of the key's point count could be.
+    offered, labelled = {}, []  # held, so no id is reused
+    register, labeling = generic_mod._Builder._register, generic_mod.canonical_labeling
+
+    def record(builder, copy):
+        offered[id(copy)] = copy
+        register(builder, copy)
+
+    def counted(plane):
+        labelled.append(plane)
+        return labeling(plane)
+
+    monkeypatch.setattr(generic_mod._Builder, "_register", record)
+    monkeypatch.setattr(generic_mod, "canonical_labeling", counted)
+    build_generic(500, 2, seeds=[nd10])
+    copies = [plane for plane in labelled if id(plane) in offered]
+    assert 0 < len(copies) <= 25
+
+
+@pytest.mark.parametrize(
+    "steps, ext_bound, seeded", [(200, 2, True), (120, 3, False), (500, 2, True)]
+)
+def test_index_fed_glue_matches_a_pass_over_the_stage(
+    monkeypatch, steps, ext_bound, seeded, nd10
+):
+    # The builder hands the glue the stage lines through the base from its
+    # own index; the lines meeting the base twice and the wedge verdict must
+    # be those of a pass over every stage line.
+    glue = generic_mod._canonical_glue
+    based = Counter()
+
+    def checked(a, b, shared, a_lines):
+        c = frozenset(shared)
+        assert set(a_lines) <= a.lines
+        local = amalgam_mod._based_among(a_lines, c)
+        assert local == amalgam_mod._based_lines(a, c)
+        based[len(local[0])] += 1
+        return glue(a, b, shared, a_lines)
+
+    monkeypatch.setattr(generic_mod, "_canonical_glue", checked)
+    build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
+    assert sum(based.values()) == steps
+    assert based[0] < steps and max(based) >= 3
+
+
+HASH_SEEDED_BUILD = """
+import hashlib
+from planeforge import build_generic, non_desarguesian_plane
+from planeforge.planefile import serialize_plane
+""" + inspect.getsource(_chain_digest) + """
+print(_chain_digest(build_generic(500, 2, seeds=[non_desarguesian_plane()])))
+"""
+
+
+def test_seeded_build_does_not_depend_on_the_hash_seed():
+    # The builder iterates sets of lines and points; string hashing, and so
+    # their order, changes with PYTHONHASHSEED.  Both runs must give the
+    # digest pinned in test_seeded_build_firing_order_is_pinned.
+    pinned = "566c5b6c3add28a57bb1f103b6e71b626f8c5350632ca358b1a419b2e88e598f"
+    for hash_seed in ("0", "1"):
+        env = {**library_env(), "PYTHONHASHSEED": hash_seed}
+        proc = subprocess.run(
+            [sys.executable, "-c", HASH_SEEDED_BUILD],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [pinned], hash_seed
 
 
 # --- genericity audit -----------------------------------------------------------
