@@ -90,23 +90,17 @@ def _shared_part(a: Plane, b: Plane, shared: Iterable[str], op: str) -> frozense
     return c
 
 
-def _based_lines(
-    plane: Plane, c: frozenset[str]
+def _based_among(
+    lines: Iterable[frozenset[str]], c: frozenset[str]
 ) -> tuple[dict[frozenset[str], frozenset[str]], bool]:
     """The lines meeting C at least twice, by C-trace, and whether no point
     outside C lies on two of them (wedge condition (b)).
 
-    In a valid plane at most one line carries a given trace (two would
-    share two points), so each trace names one line.
+    ``lines`` must hold every line of the plane that meets C at least twice;
+    any other line in it is skipped.  In a valid plane at most one line
+    carries a given trace (two would share two points), so each trace names
+    one line.
     """
-    return _based_among(plane.lines, c)
-
-
-def _based_among(
-    lines: Iterable[frozenset[str]], c: frozenset[str]
-) -> tuple[dict[frozenset[str], frozenset[str]], bool]:
-    """_based_lines over ``lines``, which must hold every line of the plane
-    that meets C at least twice; any other line in it is skipped."""
     based: dict[frozenset[str], frozenset[str]] = {}
     seen: set[str] = set()
     wedge = True
@@ -122,9 +116,12 @@ def _based_among(
 
 
 def free_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
-    """Union of the two planes over their shared part, no gluing beyond it."""
+    """Union of the two planes over their shared part, no gluing beyond it.
+    A broken input is reported by validate, not as a collision of the union."""
+    validate(a)
+    validate(b)
     c = _shared_part(a, b, shared, "free_amalgam")
-    (based_a, _), (based_b, _) = _based_lines(a, c), _based_lines(b, c)
+    (based_a, _), (based_b, _) = _based_among(a.lines, c), _based_among(b.lines, c)
     lines = set(a.lines.difference(based_a.values()))
     lines |= b.lines.difference(based_b.values())
     identified: set[tuple[frozenset[str], frozenset[str]]] = set()
@@ -210,7 +207,7 @@ def _canonical_glue(
             "canonical_amalgam: shared part must equal the point intersection"
         )
     based_a, wedge_a = _based_among(a_lines, c)
-    based_b, wedge_b = _based_lines(b, c)
+    based_b, wedge_b = _based_among(b.lines, c)
     core_lines = {t for t in based_a if len(t) >= 3}
     if core_lines != {t for t in based_b if len(t) >= 3}:
         raise PreconditionError(

@@ -14,14 +14,17 @@ strong exactly when no nonempty set Y of new points (at most 15 of them)
 loses more than |Y| to the lines, and a line never lowers a loss, so a
 branch that breaks this is cut with everything below it.  The pruning is
 therefore exact (see _strong_line_sets).  The survivors collapse by their
-key over the base, keeping the first line set of each key.
+key over the base, keeping the first line set of each key.  Both keys come
+from one branch-and-bound search for a least encoding (_least_encoding):
+a plane's key searches its refined color classes, a key over the base
+fixes the base points and searches the new points as one class.
 """
 
 from __future__ import annotations
 
 import string
 from collections.abc import Iterator
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import BudgetExceeded, PreconditionError
 from .plane import Plane, make_plane, validate
@@ -83,33 +86,48 @@ def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
     planes share it exactly when they are isomorphic.  Labels are assigned in
     blocks following the refined color classes.  Points on no line all land
     in one class and never affect the encoding, so they, and every class of
-    one point, keep fixed labels; the other classes are searched.
-
-    The search is depth first and fills labels 0, 1, 2, ... in order: a
-    fixed label takes its point, a searched label tries the unused members of
-    its class in class order.  Leaves therefore come in the order of trying
-    every permutation of each class in turn, and the first leaf with the
-    least encoding is the label returned.  After labels 0..d-1, each line's
-    final sorted labels are, element by element, at least its known labels
-    followed by d, d+1, ...; sorting the lines keeps that element-wise order,
-    so the sorted tuple of these line bounds is a lower bound on every
-    completion (see _lower_bound).  A subtree whose bound is not below the
-    best encoding so far is cut.  The best is replaced only by a strictly
-    smaller encoding, and a cut subtree holds nothing strictly smaller, so
-    the key and the first minimal label are exactly those of the full
-    enumeration.
+    one point, keep fixed labels; the other classes are searched (see
+    _least_encoding), and the label returned is the first minimal one.
     """
-    classes = _color_classes(plane)
     through = plane.lines_through
-    index = {l: i for i, l in enumerate(plane.lines)}
-    sizes = list(map(len, index))
-    on = {p: [index[l] for l in through[p]] for p in plane.points}
     choices: list[list[str]] = []  # choices[d]: who may take label d, in order
-    for cls in classes:
+    for cls in _color_classes(plane):
         if len(cls) == 1 or not through[cls[0]]:
             choices.extend([p] for p in cls)
         else:
             choices.extend([cls] * len(cls))
+    encoding, order = _least_encoding(plane.lines, choices)
+    return (len(order), encoding), {p: i for i, p in enumerate(order)}
+
+
+def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
+    """The least encoding of ``lines`` over the label orders ``choices``
+    allows, and the first order that reaches it.
+
+    ``choices[d]`` lists who may take label d, in order; a point may take
+    one label only, and a label with a single choice is fixed.  A line is
+    encoded as its sorted labels, a line set as its sorted lines.
+
+    The search is depth first and fills labels 0, 1, 2, ... in order: a
+    fixed label takes its point, a searched label tries the unused members of
+    its choices in order.  Leaves therefore come in the order of trying
+    every permutation of each searched class in turn, and the first leaf
+    with the least encoding is the order returned.  After labels 0..d-1,
+    each line's final sorted labels are, element by element, at least its
+    known labels followed by d, d+1, ...; sorting the lines keeps that
+    element-wise order, so the sorted tuple of these line bounds is a lower
+    bound on every completion (see _lower_bound).  Until the first leaf there
+    is nothing to beat, so no bound is taken; after it, a subtree whose bound
+    is not below the best encoding so far is cut.  The best is replaced only
+    by a strictly smaller encoding, and a cut subtree holds nothing strictly
+    smaller, so the encoding and the first minimal order are exactly those
+    of the full enumeration.
+    """
+    sizes = [len(l) for l in lines]
+    on: dict[str, list[int]] = {p: [] for ps in choices for p in ps}
+    for i, line in enumerate(lines):
+        for p in line:
+            on[p].append(i)
     n = len(choices)
     known: list[list[int]] = [[] for _ in sizes]  # each line's labels so far
     order: list[str] = []  # order[i] has label i
@@ -140,33 +158,36 @@ def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
         while d < n and len(choices[d]) == 1:  # fixed labels need no branching
             place(choices[d][0])
             d += 1
-        bound = _lower_bound(known, sizes, d)
-        below = best_key is None or bound < best_key
-        if below and d == n:
-            best_key, best_order = bound, order[:]
+        if best_key is None and d < n:
+            below = True  # no leaf reached yet: nothing to cut against
+        else:
+            bound = _lower_bound(known, sizes, d)
+            below = best_key is None or bound < best_key
+            if below and d == n:
+                best_key, best_order = bound, order[:]
         open_nodes.append((entry, iter(choices[d] if below and d < n else ())))
-        while open_nodes:  # enter the next child of the deepest open node
+        while True:  # enter the next child of the deepest open node
             node_entry, untried = open_nodes[-1]
             for p in untried:
                 if p not in placed:
                     break
-            else:  # no child left: close the node
+            else:  # no child left: close the node, the search with the root
                 open_nodes.pop()
+                if not open_nodes:
+                    return best_key, best_order
                 while len(order) > node_entry:
                     unplace()
                 continue
             entry = len(order)
             place(p)
             break
-        else:
-            return (n, best_key), {p: i for i, p in enumerate(best_order)}
 
 
 def _lower_bound(known: list[list[int]], sizes: list[int], d: int) -> tuple:
     """Least line encoding any completion of labels 0..d-1 can reach.
 
     Each line's unknown labels are filled from d upwards; at d = n this is
-    the encoding itself.  Called once per search node.
+    the encoding itself.  Called at most once per search node.
     """
     return tuple(
         sorted((*k, *range(d, d + s - len(k))) for k, s in zip(known, sizes))
@@ -404,22 +425,6 @@ def _pick_extra(
         lines.pop()
 
 
-def _over_base_key(base: Plane, new: list[str], lines) -> tuple:
-    """Canonical encoding of an extension up to permuting the new points."""
-    best = None
-    for perm in permutations(range(len(new))):
-        rename = {p: (1, perm[i]) for i, p in enumerate(new)}
-        encoded = tuple(
-            sorted(
-                tuple(sorted(rename.get(p, (0, p)) for p in line))
-                for line in lines
-            )
-        )
-        if best is None or encoded < best:
-            best = encoded
-    return (len(new), best)
-
-
 def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
     """Strong extension classes of ``base`` by exactly ``m`` new points.
 
@@ -427,16 +432,21 @@ def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
     checks it.  Strength is decided while the line sets are generated (see
     _strong_line_sets), so no min-cut is solved.  One representative per
     isomorphism over the base, the first line set met with its over-base
-    key, yielded in key order.  Strength is kept by such an isomorphism, so
-    a key's first line set stands for the whole class.  No in_K0 check
-    either: by submodularity, delta(X) >= delta(X | base) - delta(base) +
-    delta(X & base) >= 0 for every X once base is strong in B and in K0.
+    key, yielded in key order: the least encoding (see _least_encoding) with
+    the b base points fixed at labels 0..b-1 in name order and the new
+    points searched as one class, so keys compare as encoding base point p
+    as (0, p) and new point i as (1, i), least over the new points' orders,
+    would.  Strength is kept by such an isomorphism, so a key's first line
+    set stands for the whole class.  No in_K0 check either: by
+    submodularity, delta(X) >= delta(X | base) - delta(base) + delta(X &
+    base) >= 0 for every X once base is strong in B and in K0.
     """
     new = _fresh_names(base, m)
     allpts = list(base.points) + new
+    choices = [[p] for p in sorted(base.points)] + [new] * m
     found: dict[tuple, Plane] = {}
     for lines in _strong_line_sets(base, new):
-        key = _over_base_key(base, new, lines)
+        key = _least_encoding(lines, choices)[0]
         if key not in found:
             found[key] = make_plane(allpts, lines)
     for key in sorted(found):

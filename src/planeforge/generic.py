@@ -310,37 +310,24 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
             raise PreconditionError("seed template is not hereditarily nonnegative")
         builder.fire(empty_key, {}, seed)
 
-    # Each round offers every pushed-back pair once, in order, then the
-    # current tier's pairs as they are generated; a tier ends the sweep when
-    # its census is out of budget.
+    # Each round offers every pushed-back pair once, in order, then the next
+    # census tier's pairs as they are generated; past the last tier, rounds
+    # retry the pushed-back pairs until one fires nothing (the stage then
+    # stays as it is, so no later round could fire either).
     pending: list[_TypePair] = []
-    tier_pairs: Iterator[_TypePair] = iter(())
-    tier = 0
-    tiers_left = True
-    while len(builder.records) < steps:
-        progressed = False
-        offered = chain(pending, tier_pairs)
-        pending = []
-        while len(builder.records) < steps:
-            try:
-                pair = next(offered, None)
-            except BudgetExceeded:
-                tiers_left = False
-                break
-            if pair is None:
-                break
+    tier, fired = 0, False
+    while len(builder.records) < steps and (tier < CENSUS_CAP or fired):
+        tier += 1
+        tier_pairs = _tier_pairs(tier, ext_bound) if tier <= CENSUS_CAP else ()
+        offered, pending, fired = chain(pending, tier_pairs), [], False
+        for pair in offered:
             if builder.instance(pair.base_key) is None:
                 pending.append(pair)
                 continue
             builder.fire(pair.base_key, pair.base_label, pair.template)
-            progressed = True
-        if len(builder.records) >= steps:
-            break
-        if not tiers_left and not progressed:
-            break  # nothing fireable remains
-        if tiers_left:
-            tier += 1
-            tier_pairs = _tier_pairs(tier, ext_bound)
+            fired = True
+            if len(builder.records) >= steps:
+                break
 
     return ExtensionChain(stages=tuple(builder.stages), steps=tuple(builder.records))
 
@@ -543,8 +530,10 @@ class WitnessBundle:
     metrics: dict = field(default_factory=dict)
 
     def __getattr__(self, item):
+        # Through __dict__: copy and pickle probe an instance that has no
+        # fields yet, and self.metrics would call back in here without end.
         try:
-            return self.metrics[item]
+            return self.__dict__["metrics"][item]
         except KeyError:
             raise AttributeError(item) from None
 

@@ -62,11 +62,17 @@ def test_free_amalgam_collision_on_shared_pair():
         free_amalgam(a, b, frozenset("pq"))
 
 
-def test_free_amalgam_keeps_both_lines_of_a_broken_input():
-    # two lines of one side through the shared pair: neither may vanish
-    a = make_plane("pqxy", ["pqx", "pqy"])
-    with pytest.raises(ExchangeViolation, match="share"):
-        free_amalgam(a, make_plane("pqz"), frozenset("pq"))
+@pytest.mark.parametrize("broken_side", [0, 1])
+def test_free_amalgam_reports_a_broken_input(broken_side):
+    # Two lines of one side through the shared pair: the input is reported
+    # as invalid, with validate's own message, before any line could vanish
+    # from the union.
+    bad = make_plane("pqxy", ["pqx", "pqy"])
+    good = make_plane("pqz")
+    a, b = (bad, good) if broken_side == 0 else (good, bad)
+    with pytest.raises(InvalidPlaneError) as info:
+        free_amalgam(a, b, frozenset("pq"))
+    assert str(info.value) == "lines ['p', 'q', 'x'] and ['p', 'q', 'y'] share ['p', 'q']"
 
 
 def test_amalgam_precondition_checks():
@@ -421,7 +427,7 @@ def test_canonical_amalgam_matches_whole_plane_oracle():
         outcomes[key] = outcomes.get(key, 0) + 1
         for side in (a, b):  # the local wedge verdict on every valid side
             if c <= side.points and not _broken(side):
-                local = amalgam._based_lines(side, c)[1]
+                local = amalgam._based_among(side.lines, c)[1]
                 assert local == is_wedge_subgeometry(restrict(side, c), side)
     # every way through the checks is taken
     assert set(outcomes) == {

@@ -28,6 +28,7 @@ from planeforge.census import CENSUS_CAP, EXTENSION_CAP, canonical_labeling
 
 from .conftest import random_plane
 from .oracles import (
+    _oracle_over_base_key,
     oracle_canonical_labeling,
     oracle_in_K0,
     oracle_is_strong,
@@ -299,6 +300,49 @@ def test_extensions_match_the_flow_oracle_in_order():
             assert got == oracle_strong_extensions(base, k), (base, k)
             cases += 1
     assert cases == 2 * 23 + 8 + 5
+
+
+def _numbered_base(rng, size):
+    """A K0 plane on ``size`` points named by numbers, "9" and "10" among
+    them, so that name order is not numeric order."""
+    while True:
+        names = rng.sample(["1", "2", "9", "10", "11", "20"], size)
+        lines, taken = [], set()
+        for _ in range(rng.randint(0, 2)):
+            if size < 3:
+                break
+            cand = tuple(rng.sample(names, rng.randint(3, min(4, size))))
+            pairs = {frozenset(pq) for pq in combinations(cand, 2)}
+            if not pairs & taken:
+                taken |= pairs
+                lines.append(cand)
+        base = make_plane(names, lines)
+        if in_K0(base):
+            return base
+
+
+def test_over_base_order_matches_the_permutation_oracle():
+    # The search's keys over the base must collapse and order the line sets
+    # of each size exactly as the least encoding over every order of the
+    # new points does: first line set of each class, in key order.
+    rng = random.Random(20261019)
+    cases = lonely = mixed = 0
+    for m, sizes in ((1, range(0, 7)), (2, range(0, 6)), (3, range(1, 5)), (4, (2, 3))):
+        for size in sizes:
+            base = _numbered_base(rng, size)
+            mixed += sorted(base.points) != sorted(base.points, key=int)
+            new = census_mod._fresh_names(base, m)
+            first = {}
+            for lines in census_mod._strong_line_sets(base, new):
+                first.setdefault(_oracle_over_base_key(new, lines), lines)
+                lonely += bool(set(new).difference(*lines))
+            allpts = list(base.points) + new
+            want = [make_plane(allpts, first[key]) for key in sorted(first)]
+            got = list(census_mod._strong_extensions_exactly(base, m))
+            assert got == want, (base, m)
+            cases += 1
+    assert cases == 7 + 6 + 4 + 2
+    assert mixed > 0 and lonely > 0  # some new point lies on no line
 
 
 def test_extensions_do_not_pin_their_base():

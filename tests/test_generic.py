@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import inspect
+import pickle
 import random
 import subprocess
 import sys
@@ -168,13 +170,28 @@ def test_seeded_build_firing_order_is_pinned(nd10):
 
 
 def test_build_ends_when_the_tiers_run_out():
-    # With ext_bound 1 every situation up to tier 7 fires, and tier 8 stops
-    # the sweep: its census is out of budget.
+    # With ext_bound 1 every situation up to tier 7 fires, and the sweep
+    # ends with tier CENSUS_CAP = 7, the last tier the census can list.
     chain = build_generic(100_000, 1)
     assert len(chain.steps) == 412
     assert _chain_digest(chain) == (
         "af42c34f9bef7b0c3b7017138b1cf34bb1b12cdceb6955cb0c1691168a380112"
     )
+
+
+def test_budget_errors_inside_a_tier_propagate(monkeypatch):
+    # The sweep stops at the census cap by count, not on an exception, so a
+    # tier that runs out of budget fails the build instead of ending it.
+    exactly = generic_mod._strong_extensions_exactly
+
+    def capped(base, m):
+        if len(base.points) == 3:
+            raise BudgetExceeded("tier 3 over budget")
+        return exactly(base, m)
+
+    monkeypatch.setattr(generic_mod, "_strong_extensions_exactly", capped)
+    with pytest.raises(BudgetExceeded, match="tier 3 over budget"):
+        build_generic(100, 1)
 
 
 def test_tiers_are_enumerated_lazily(monkeypatch, nd10):
@@ -453,7 +470,7 @@ def test_index_fed_glue_matches_a_pass_over_the_stage(
         c = frozenset(shared)
         assert set(a_lines) <= a.lines
         local = amalgam_mod._based_among(a_lines, c)
-        assert local == amalgam_mod._based_lines(a, c)
+        assert local == amalgam_mod._based_among(a.lines, c)
         based[len(local[0])] += 1
         return glue(a, b, shared, a_lines)
 
@@ -656,6 +673,18 @@ def test_figure2_witness(fig2):
     assert bundle.plane == fig2
     assert bundle.growth == 0
     assert bundle.delta == 3
+
+
+def test_witness_bundles_copy_and_pickle(fig2):
+    bundle = figure2_plane()
+    for twin in (
+        copy.copy(bundle),
+        copy.deepcopy(bundle),
+        pickle.loads(pickle.dumps(bundle)),
+    ):
+        assert twin == bundle
+        assert twin.plane == fig2
+        assert twin.growth == 0
 
 
 # --- iterated amalgam -------------------------------------------------------------
