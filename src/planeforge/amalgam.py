@@ -24,7 +24,6 @@ an index it keeps (see _canonical_glue).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable
 
 from .embedding import embeddings
@@ -36,10 +35,9 @@ from .errors import (
     NotWedgeSubgeometry,
     PlaneError,
     PreconditionError,
-    guard_subsets,
 )
 from .plane import Plane, _record_valid, restrict, validate
-from .predim import d_rel, delta, in_K0, is_k_strong, is_strong
+from .predim import d_rel, delta, icl, in_K0, is_k_strong, is_strong
 
 
 @dataclass(frozen=True)
@@ -246,33 +244,39 @@ def _canonical_glue(
     return AmalgamResult(out, "canonical", frozenset(identified))
 
 
-def _smallest_step(
-    plane: Plane, lo: frozenset[str], up: frozenset[str], op: str
-) -> frozenset[str]:
-    """The smallest proper intermediate X, lo <= X <= up (by size, then
-    lexicographically), or up itself when there is none.
+def _smallest_step(plane: Plane, lo: frozenset[str], up: frozenset[str]) -> frozenset[str]:
+    """The smallest proper strong intermediate X, lo <= X <= up (by size,
+    then by sorted(X - lo)), or up itself when there is none.
 
-    With lo strong in up, up is always a strong step over lo, so only the
-    proper sizes are searched.
+    Since lo <= up, X lies between them exactly when X is strong in up.
+    Strong sets are closed under intersection, so such an X holds
+    X_p = icl(lo | {p}, within up) for each p in X - lo, and one of least
+    size equals each such X_p: two of least size meet only in lo, and the
+    least p with |X_p| least gives the first in order.  No X is smaller
+    than |lo| + 1, and with one point to add there is no proper one.
     """
     free = sorted(up - lo)
-    guard_subsets(len(free), op)
-    for size in range(1, len(free)):
-        for mid in combinations(free, size):
-            x = lo | frozenset(mid)
-            if is_strong(plane, lo, x) and is_strong(plane, x, up):
-                return x
-    return up
+    if len(free) < 2:
+        return up
+    best = up
+    for p in free:
+        x = icl(plane, lo | {p}, up)
+        if len(x) < len(best):
+            best = x
+            if len(x) == len(lo) + 1:
+                break
+    return best
 
 
 def is_primitive(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> bool:
-    """No proper intermediate X with lower <= X <= upper (both strong)."""
+    """No proper intermediate X with lower <= X <= upper (both strong),
+    found with at most one icl per new point (see _smallest_step)."""
     lo, up = frozenset(lower), frozenset(upper)
     if not lo <= up <= plane.points:
         raise PreconditionError("is_primitive: need lower ⊆ upper ⊆ plane")
     if not is_strong(plane, lo, up):
         raise NotStrong("is_primitive: lower part is not strong in the upper")
-    return _smallest_step(plane, lo, up, "is_primitive") == up
+    return _smallest_step(plane, lo, up) == up
 
 
 def classify_primitive(
@@ -298,7 +302,8 @@ def decompose(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> Decom
 
     Deterministic: each step takes the smallest proper strong intermediate
     (by size, then lexicographically), or the upper set when there is none,
-    so each step is primitive and the chain is as long as possible.
+    so each step is primitive and the chain is as long as possible.  A step
+    takes at most one icl per point it could add (see _smallest_step).
     """
     lo, up = frozenset(lower), frozenset(upper)
     if not lo <= up <= plane.points:
@@ -307,7 +312,7 @@ def decompose(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> Decom
         raise NotStrong("decompose: lower part is not strong in the upper")
     chain = [lo]
     while chain[-1] != up:
-        chain.append(_smallest_step(plane, chain[-1], up, "decompose"))
+        chain.append(_smallest_step(plane, chain[-1], up))
     return Decomposition(tuple(chain))
 
 

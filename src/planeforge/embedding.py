@@ -69,30 +69,32 @@ def embeddings(
     if sub.n_points > sup.n_points:
         return
 
-    sup_deg = {q: len(sup.lines_through[q]) for q in sup.points}
-    sub_deg = {p: len(sub.lines_through[p]) for p in sub.points}
     order = _placement_order(sub, frozenset(fixed))
-
-    def extend(i: int, mapping: dict[str, str], used: set[str]) -> Iterator[dict[str, str]]:
-        if i == len(order):
-            yield dict(mapping)
-            return
-        p = order[i]
-        for q in sorted(sup.points - used):
-            if sub_deg[p] > sup_deg[q]:
-                continue
-            mapping[p] = q
-            if _consistent(sub, sup, mapping, p):
-                used.add(q)
-                yield from extend(i + 1, mapping, used)
-                used.remove(q)
-            del mapping[p]
-
     start = dict(fixed)
     for p in fixed:
         if not _consistent(sub, sup, start, p):
             return
-    yield from extend(0, start, set(fixed.values()))
+    yield from _extend(sub, sup, order, 0, start, set(fixed.values()))
+
+
+def _extend(sub: Plane, sup: Plane, order: list, i: int, mapping: dict, used: set):
+    """The embeddings that extend ``mapping`` by placing order[i:], in
+    order.  A point goes only to a target point on at least as many lines.
+    A module function, not a closure, so a search leaves no reference cycle."""
+    if i == len(order):
+        yield dict(mapping)
+        return
+    p = order[i]
+    lines = len(sub.lines_through[p])
+    for q in sorted(sup.points - used):
+        if lines > len(sup.lines_through[q]):
+            continue
+        mapping[p] = q
+        if _consistent(sub, sup, mapping, p):
+            used.add(q)
+            yield from _extend(sub, sup, order, i + 1, mapping, used)
+            used.remove(q)
+        del mapping[p]
 
 
 def find_embedding(

@@ -450,27 +450,23 @@ def check_genericity(plane: Plane, radius: int, per_subset: bool = False) -> Aud
         templates = enumerate_strong_extensions(base_rep, radius)
         if not templates:
             continue
-        instance_cache: list[frozenset] = []
-        instance_gen = _typed_strong_subsets(plane, base_rep)
-
-        def instances():
-            yield from instance_cache
-            for pts in instance_gen:
-                instance_cache.append(pts)
-                yield pts
-
-        if per_subset:
-            all_instances = list(instances())
-
-        for template in templates:
-            realized_at = None
-            witness_image = None
-            for inst in instances():
+        # one walk over the typed instances, trying each template until it
+        # is realized (always under per_subset): its first witness in lex order
+        found: dict[int, tuple] = {}
+        for inst in _typed_strong_subsets(plane, base_rep):
+            for i, template in enumerate(templates):
+                if i in found and not per_subset:
+                    continue
                 image = _realize_over(plane, base_rep, inst, template)
+                if per_subset:
+                    subset_checked += 1
+                    subset_realized += image is not None
                 if image is not None:
-                    realized_at = inst
-                    witness_image = image
-                    break
+                    found.setdefault(i, (inst, image))
+            if len(found) == len(templates) and not per_subset:
+                break
+        for i, template in enumerate(templates):
+            realized_at, witness_image = found.get(i, (None, None))
             rows.append(
                 TypeRow(
                     base_label=plane_label(base_rep),
@@ -480,11 +476,6 @@ def check_genericity(plane: Plane, radius: int, per_subset: bool = False) -> Aud
                     image_points=witness_image,
                 )
             )
-            if per_subset:
-                for inst in all_instances:
-                    subset_checked += 1
-                    if _realize_over(plane, base_rep, inst, template) is not None:
-                        subset_realized += 1
 
     points = sorted(plane.points)
     max_size = 0
@@ -769,6 +760,8 @@ def iterated_amalgam(aprime: Plane, bprime: Plane, k: int) -> Plane:
         raise PreconditionError("copy count must be at least 1")
     validate(aprime)
     validate(bprime)
+    if not aprime.points <= bprime.points:
+        raise PreconditionError("A' must be a subset of B'")
     if restrict(bprime, aprime.points) != aprime:
         raise PreconditionError("A' must be an induced subplane of B'")
     if not in_K0(bprime):

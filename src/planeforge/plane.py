@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable
 
-from .errors import InvalidPlaneError
+from .errors import InvalidPlaneError, PreconditionError
 
 _NAME_RE = re.compile(r"^[^\s#]+$")
 
@@ -131,11 +131,20 @@ def line_through(plane: Plane, p: str, q: str) -> frozenset[str] | None:
     return plane.line_of_pair.get(frozenset((p, q)))
 
 
-def closure(plane: Plane, subset: Iterable[str]) -> frozenset[str]:
-    """Smallest flat of the plane containing the subset."""
+def _as_subset(plane: Plane, subset: Iterable[str] | None, what: str) -> frozenset[str]:
+    """The subset as a frozenset, the whole plane for None.  A point outside
+    the plane breaks the caller's contract, not the plane's structure."""
+    if subset is None:
+        return plane.points
     x = frozenset(subset)
     if not x <= plane.points:
-        raise InvalidPlaneError(f"subset {sorted(x - plane.points)} outside plane")
+        raise PreconditionError(f"{what}: {sorted(x - plane.points)} outside plane")
+    return x
+
+
+def closure(plane: Plane, subset: Iterable[str]) -> frozenset[str]:
+    """Smallest flat of the plane containing the subset."""
+    x = _as_subset(plane, subset, "closure")
     if len(x) <= 1:
         return x
     for line in plane.lines:
@@ -148,9 +157,7 @@ def closure(plane: Plane, subset: Iterable[str]) -> frozenset[str]:
 
 def rank(plane: Plane, subset: Iterable[str] | None = None) -> int:
     """Matroid rank of a subset (whole plane by default)."""
-    x = plane.points if subset is None else frozenset(subset)
-    if not x <= plane.points:
-        raise InvalidPlaneError(f"subset {sorted(x - plane.points)} outside plane")
+    x = _as_subset(plane, subset, "rank")
     if len(x) <= 2:
         return len(x)
     if any(x <= line for line in plane.lines):
@@ -166,9 +173,7 @@ def lines_based_in(plane: Plane, base: Iterable[str]) -> frozenset[frozenset[str
 
 def restrict(plane: Plane, subset: Iterable[str]) -> Plane:
     """Induced subplane on a subset: keep line traces with >= 3 points."""
-    x = frozenset(subset)
-    if not x <= plane.points:
-        raise InvalidPlaneError(f"subset {sorted(x - plane.points)} outside plane")
+    x = _as_subset(plane, subset, "restrict")
     traces = frozenset(line & x for line in plane.lines if len(line & x) >= 3)
     return Plane(x, traces)
 

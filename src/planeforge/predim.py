@@ -17,16 +17,7 @@ from math import comb
 from typing import Iterable
 
 from .errors import BudgetExceeded, PreconditionError, subset_budget
-from .plane import Plane, rank
-
-
-def _as_subset(plane: Plane, subset: Iterable[str] | None, what: str) -> frozenset[str]:
-    if subset is None:
-        return plane.points
-    x = frozenset(subset)
-    if not x <= plane.points:
-        raise PreconditionError(f"{what}: {sorted(x - plane.points)} outside plane")
-    return x
+from .plane import Plane, _as_subset, rank
 
 
 def delta(plane: Plane, subset: Iterable[str] | None = None) -> int:

@@ -58,6 +58,29 @@ def oracle_in_K0(plane) -> bool:
     return oracle_d_value(plane, frozenset()) == 0
 
 
+def oracle_decompose(plane, lower, upper) -> tuple:
+    """decompose's chain by walking subsets: each step takes the first
+    proper X between the last set and upper, by size and then in name
+    order, with the last set strong in X and X strong in upper, or upper
+    itself when there is none.  Assumes lower is strong in upper."""
+    up = frozenset(upper)
+    chain = [frozenset(lower)]
+    while chain[-1] != up:
+        lo = chain[-1]
+        free = sorted(up - lo)
+        mids = (
+            lo | frozenset(mid)
+            for size in range(1, len(free))
+            for mid in combinations(free, size)
+        )
+        chain.append(next(
+            (x for x in mids
+             if oracle_is_strong(plane, lo, x) and oracle_is_strong(plane, x, up)),
+            up,
+        ))
+    return tuple(chain)
+
+
 def oracle_rank(plane, subset=None) -> int:
     pts = plane.points if subset is None else frozenset(subset)
     if len(pts) <= 2:

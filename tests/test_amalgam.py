@@ -6,7 +6,6 @@ from itertools import combinations
 import pytest
 
 from planeforge import (
-    BudgetExceeded,
     ExchangeViolation,
     FreeAmalgam,
     InvalidPlaneError,
@@ -21,7 +20,9 @@ from planeforge import (
     d_independent,
     decompose,
     delta,
+    enumerate_planes,
     free_amalgam,
+    icl,
     is_primitive,
     is_strong,
     is_wedge_subgeometry,
@@ -30,11 +31,11 @@ from planeforge import (
     sharp_step,
     validate,
 )
-from planeforge import amalgam
+from planeforge import amalgam, predim
 import planeforge.generic as generic_mod
 
-from .conftest import library_env, random_lines
-from .oracles import oracle_canonical_amalgam
+from .conftest import library_env, random_lines, random_plane
+from .oracles import oracle_canonical_amalgam, oracle_decompose
 
 
 def test_free_amalgam_disjoint(fig2):
@@ -180,13 +181,81 @@ def test_decompose_steps_are_primitive_and_strong(fig2):
     assert dec.chain[0] == frozenset() and dec.chain[-1] == fig2.points
 
 
-def test_decompose_guards(fano, monkeypatch):
+def test_decompose_guards(fano):
     with pytest.raises(NotStrong):
         decompose(fano, frozenset("1"), fano.points)
+
+
+def test_decompose_walks_no_subsets(monkeypatch):
+    # A step costs one icl per point it could add, so the subset budget,
+    # which only exhaustive searches honour, refuses nothing here.
     monkeypatch.setenv("PLANEFORGE_BUDGET", "3")
+    solves = 0
+    min_delta = predim._min_delta
+
+    def counted(*args):
+        nonlocal solves
+        solves += 1
+        return min_delta(*args)
+
+    monkeypatch.setattr(predim, "_min_delta", counted)
     big = make_plane([f"p{i}" for i in range(12)])
-    with pytest.raises(BudgetExceeded):
-        decompose(big, frozenset(), big.points)
+    dec = decompose(big, frozenset(), big.points)
+    assert [sorted(hi - lo) for lo, hi in zip(dec.chain, dec.chain[1:])] == [
+        [p] for p in sorted(big.points)
+    ]
+    # the strength check, then one icl per step: each step stops at its
+    # first one-point closure, and the last has one point left to add
+    assert solves == 12
+    assert not is_primitive(big, frozenset(), big.points)
+
+
+def test_decompose_takes_the_first_of_two_disjoint_steps():
+    # two copies of figure 2's primitive extension over abc: both are least
+    # strong intermediates, and the one holding the first point comes first
+    plane = make_plane("abcdefghi", ["adf", "cde", "bef", "agi", "cgh", "bhi"])
+    lo = frozenset("abc")
+    assert decompose(plane, lo, plane.points).chain == (
+        lo, frozenset("abcdef"), plane.points
+    )
+
+
+def _strong_pairs(plane):
+    """Every (lo, up) with lo strong in up, up running over all subsets."""
+    pts = sorted(plane.points)
+    for m in range(len(pts) + 1):
+        for up in map(frozenset, combinations(pts, m)):
+            for k in range(m + 1):
+                for lo in map(frozenset, combinations(sorted(up), k)):
+                    if is_strong(plane, lo, up):
+                        yield lo, up
+
+
+def _random_strong_pairs(seed, count):
+    """Seeded pairs on planes of at most 10 points, every other one dense:
+    lo the closure of up to three points inside up, up the whole plane or,
+    now and then, the closure of some of its points."""
+    rng = random.Random(seed)
+    for i in range(count):
+        plane = random_plane(rng, max_points=10)
+        if i % 2:
+            pts = [f"p{j}" for j in range(rng.randint(4, 10))]
+            plane = make_plane(pts, random_lines(rng, pts, 6 * len(pts)))
+        up = plane.points
+        if rng.random() < 0.2:
+            up = icl(plane, rng.sample(sorted(up), rng.randint(0, len(up))))
+        inner = sorted(up)
+        lo = icl(plane, rng.sample(inner, rng.randint(0, min(3, len(inner)))), up)
+        yield plane, lo, up
+
+
+def test_decompose_matches_the_subset_walk_oracle():
+    cases = [(p, lo, up) for p in enumerate_planes(5) for lo, up in _strong_pairs(p)]
+    cases += _random_strong_pairs(20260, 200)
+    for plane, lo, up in cases:
+        chain = oracle_decompose(plane, lo, up)
+        assert decompose(plane, lo, up).chain == chain, (plane, lo, up)
+        assert is_primitive(plane, lo, up) == (len(chain) <= 2), (plane, lo, up)
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from planeforge import (
     are_isomorphic,
     canonical_key,
     delta,
+    embeddings,
     enumerate_planes,
     enumerate_strong_extensions,
     exact_census,
@@ -360,10 +361,10 @@ def test_extension_determinism():
     assert len(enumerate_strong_extensions(tri, 1)) == 2
 
 
-def test_searches_leave_no_reference_cycles():
-    # Labelling, the census's line-set search and extension enumeration hold
-    # no closure that calls itself, so every call frees all it made without
-    # the cyclic collector.
+def test_searches_leave_no_reference_cycles(fig2, fano):
+    # Labelling, the census's line-set search, extension enumeration and the
+    # embedding search hold no closure that calls itself, so every call
+    # frees all it made without the cyclic collector.
     planes = enumerate_planes(6)
     gc.collect()
     gc.disable()
@@ -376,6 +377,9 @@ def test_searches_leave_no_reference_cycles():
             if len(base.points) <= 5:
                 for m in (1, 2):
                     list(census_mod._strong_extensions_exactly(base, m))
+        for _ in range(100):
+            find_embedding(fig2, fano)
+        assert len(list(embeddings(fano, fano))) == 168
         left = gc.collect()
     finally:
         gc.enable()

@@ -566,6 +566,27 @@ def test_audit_per_subset_mode(fig2):
     assert "subset_pairs_checked: 7" in report.text()
 
 
+def test_audit_decides_each_instance_and_template_once(monkeypatch, fig2):
+    # per_subset tries every (instance, template) pair once, in the same walk
+    # that finds the witnesses, so its rows are those of the plain audit
+    calls = 0
+    realize = generic_mod._realize_over
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return realize(*args)
+
+    monkeypatch.setattr(generic_mod, "_realize_over", counted)
+    plain = check_genericity(fig2, 2)
+    assert calls == 44
+    calls = 0
+    full = check_genericity(fig2, 2, per_subset=True)
+    assert calls == full.subset_pairs_checked == 125
+    assert full.subset_pairs_realized == 83
+    assert full.rows == plain.rows
+
+
 def test_audit_per_subset_budget(monkeypatch):
     monkeypatch.setenv("PLANEFORGE_BUDGET", "3")
     with pytest.raises(BudgetExceeded):
@@ -727,6 +748,8 @@ def test_iterated_amalgam_guards(fano):
         iterated_amalgam(restrict(fano, frozenset("1")), fano, 2)
     with pytest.raises(PreconditionError):  # delta-negative B'
         iterated_amalgam(restrict(AG23, frozenset("1")), AG23, 2)
+    with pytest.raises(PreconditionError, match="^A' must be a subset of B'$"):
+        iterated_amalgam(make_plane("az"), make_plane("abc", ["abc"]), 2)
 
 
 def test_non_desarguesian_embeds_in_itself_strongly(nd10):

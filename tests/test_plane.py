@@ -9,6 +9,7 @@ import pytest
 
 from planeforge import (
     InvalidPlaneError,
+    PreconditionError,
     canonical_key,
     closure,
     is_subgeometry,
@@ -154,6 +155,13 @@ def test_closure_cases(fano):
 def test_closure_uncovered_pair():
     p = make_plane("abcd", [["a", "b", "c"]])
     assert closure(p, frozenset("ad")) == frozenset("ad")
+
+
+@pytest.mark.parametrize("op", [closure, rank, restrict])
+def test_subset_outside_the_plane_is_a_precondition_error(fano, op):
+    # the plane itself is sound, so this is not an InvalidPlaneError
+    with pytest.raises(PreconditionError, match=rf"^{op.__name__}: \['z'\] outside plane$"):
+        op(fano, {"1", "z"})
 
 
 def test_rank(fano, fig2):
