@@ -122,65 +122,62 @@ def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
     by a strictly smaller encoding, and a cut subtree holds nothing strictly
     smaller, so the encoding and the first minimal order are exactly those
     of the full enumeration.
+
+    _descend takes one frame per searched label (none per fixed one), so
+    more searched labels than the recursion limit raise RecursionError.
     """
-    sizes = [len(l) for l in lines]
     on: dict[str, list[int]] = {p: [] for ps in choices for p in ps}
     for i, line in enumerate(lines):
         for p in line:
             on[p].append(i)
-    n = len(choices)
-    known: list[list[int]] = [[] for _ in sizes]  # each line's labels so far
-    order: list[str] = []  # order[i] has label i
-    placed: set[str] = set()
-    best_key = best_order = None
+    known: list[list[int]] = [[] for _ in lines]  # each line's labels so far
+    return _descend(choices, on, [len(l) for l in lines], known, [], set(), None)
 
-    def place(p: str) -> None:
-        for i in on[p]:
-            known[i].append(len(order))
-        order.append(p)
-        placed.add(p)
 
-    def unplace() -> None:
-        p = order.pop()
-        placed.discard(p)
-        for i in on[p]:
-            known[i].pop()
+def _descend(choices, on, sizes, known, order, placed, best):
+    """_least_encoding's search below the labels in ``order``: the best
+    (encoding, order) after this subtree, given ``best`` before it.
 
-    # The search runs as a loop over the open nodes, deepest last, so a call
-    # leaves no self-calling closure, and no reference cycle, behind.  A
-    # node holds the labels placed before it was entered and the choices for
-    # its first searched label not tried yet; one entered past its bound, or
-    # at a leaf, opens with none.
-    open_nodes: list[tuple[int, Iterator[str]]] = []
-    entry = 0  # labels placed before the node being entered
-    while True:
-        d = len(order)
-        while d < n and len(choices[d]) == 1:  # fixed labels need no branching
-            place(choices[d][0])
-            d += 1
-        if best_key is None and d < n:
-            below = True  # no leaf reached yet: nothing to cut against
-        else:
-            bound = _lower_bound(known, sizes, d)
-            below = best_key is None or bound < best_key
-            if below and d == n:
-                best_key, best_order = bound, order[:]
-        open_nodes.append((entry, iter(choices[d] if below and d < n else ())))
-        while True:  # enter the next child of the deepest open node
-            node_entry, untried = open_nodes[-1]
-            for p in untried:
-                if p not in placed:
-                    break
-            else:  # no child left: close the node, the search with the root
-                open_nodes.pop()
-                if not open_nodes:
-                    return best_key, best_order
-                while len(order) > node_entry:
-                    unplace()
-                continue
-            entry = len(order)
-            place(p)
-            break
+    Places the fixed labels that come next, bounds the node, tries each
+    unused choice for the next searched label, and unplaces what it placed.
+    A module function, not a closure, so a search leaves no reference cycle.
+    """
+    n, start = len(choices), len(order)
+    d = start
+    while d < n and len(choices[d]) == 1:  # fixed labels need no branching
+        _place(choices[d][0], on, known, order, placed)
+        d += 1
+    children = choices[d] if d < n else ()
+    if best is not None or d == n:  # before the first leaf nothing can be cut
+        bound = _lower_bound(known, sizes, d)
+        if best is not None and bound >= best[0]:
+            children = ()
+        elif d == n:
+            best = bound, order[:]
+    for p in children:
+        if p not in placed:
+            _place(p, on, known, order, placed)
+            best = _descend(choices, on, sizes, known, order, placed, best)
+            _unplace(on, known, order, placed)
+    for _ in range(start, d):
+        _unplace(on, known, order, placed)
+    return best
+
+
+def _place(p: str, on, known, order: list[str], placed: set[str]) -> None:
+    """Give ``p`` the next label."""
+    for i in on[p]:
+        known[i].append(len(order))
+    order.append(p)
+    placed.add(p)
+
+
+def _unplace(on, known, order: list[str], placed: set[str]) -> None:
+    """Take back the last label given."""
+    p = order.pop()
+    placed.discard(p)
+    for i in on[p]:
+        known[i].pop()
 
 
 def _lower_bound(known: list[list[int]], sizes: list[int], d: int) -> tuple:
@@ -209,40 +206,42 @@ def _labeled_line_sets(n: int) -> list[tuple[tuple[int, ...], ...]]:
     Prunes to labellings where every line extends the covered prefix by
     consecutive new labels and the line list is strictly ascending; each
     isomorphism class keeps at least one labelling (greedy argument), and
-    duplicates are removed afterwards.
+    duplicates are removed afterwards.  Listed depth first, each line set
+    when first reached (see _add_lines).
     """
     candidates = []
     for size in range(3, n + 1):
         candidates.extend(combinations(range(n), size))
     candidates.sort()
     pair_index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-    masks = []
-    for line in candidates:
-        m = 0
-        for pair in combinations(line, 2):
-            m |= 1 << pair_index[pair]
-        masks.append(m)
+    masks = [_pair_mask(line, pair_index) for line in candidates]
+    return list(_add_lines(candidates, masks, 0, (), 0, 0))
 
-    out: list[tuple[tuple[int, ...], ...]] = [()]
-    # Depth first, each line set listed when first reached: a node is its
-    # lines, the next candidate to try, the pairs they use and the labels
-    # they cover; it goes back on the stack under the child it enters.
-    stack = [((), 0, 0, 0)]
-    while stack:
-        chosen, start, used_mask, covered = stack.pop()
-        for i in range(start, len(candidates)):
-            line = candidates[i]
-            fresh = [p for p in line if p >= covered]
-            if fresh != list(range(covered, covered + len(fresh))):
-                continue
-            if masks[i] & used_mask:
-                continue
-            child = (*chosen, line)
-            out.append(child)
-            stack.append((chosen, i + 1, used_mask, covered))
-            stack.append((child, i + 1, used_mask | masks[i], covered + len(fresh)))
-            break
-    return out
+
+def _add_lines(candidates, masks, start: int, chosen: tuple, used: int, covered: int):
+    """_labeled_line_sets' search below ``chosen``, whose lines use the
+    pairs in ``used`` and cover labels 0..covered-1: ``chosen``, then the
+    subtree of each admissible candidate from ``start`` on, in order."""
+    yield chosen
+    for i in range(start, len(candidates)):
+        line = candidates[i]
+        fresh = [p for p in line if p >= covered]
+        if fresh != list(range(covered, covered + len(fresh))):
+            continue
+        if masks[i] & used:
+            continue
+        child = (*chosen, line)
+        yield from _add_lines(
+            candidates, masks, i + 1, child, used | masks[i], covered + len(fresh)
+        )
+
+
+def _pair_mask(pts, pair_index: dict) -> int:
+    """Bitmask of the pairs of ``pts``, by their index in ``pair_index``."""
+    m = 0
+    for pair in combinations(sorted(pts), 2):
+        m |= 1 << pair_index[pair]
+    return m
 
 
 def _planes_exactly(n: int) -> list[Plane]:
@@ -345,12 +344,6 @@ def _strong_line_sets(base: Plane, new: list[str]):
     guard = sum(0x80 << 8 * y for y in subsets)
     bit = {p: 1 << i for i, p in enumerate(new)}
 
-    def mask(pts) -> int:
-        m = 0
-        for pair in combinations(sorted(pts), 2):
-            m |= 1 << pair_index[pair]
-        return m
-
     def losses(line) -> int:
         on_new = sum(bit.get(p, 0) for p in line)
         b = len(line) - on_new.bit_count()
@@ -370,7 +363,8 @@ def _strong_line_sets(base: Plane, new: list[str]):
         opts = [(bl, 0, 0)]
         for sub in new_subsets:
             ext = tuple(sorted(bl + sub))
-            opts.append((ext, mask(ext) & ~mask(bl), losses(ext)))
+            added = _pair_mask(ext, pair_index) & ~_pair_mask(bl, pair_index)
+            opts.append((ext, added, losses(ext)))
         options.append(opts)
 
     extra = []
@@ -380,12 +374,12 @@ def _strong_line_sets(base: Plane, new: list[str]):
                 if bsize + len(sub) < 3:
                     continue
                 line = tuple(sorted(bpart + sub))
-                extra.append((line, mask(line), losses(line)))
+                extra.append((line, _pair_mask(line, pair_index), losses(line)))
     extra.sort()
 
     base_pair_mask = 0
     for bl in base_lines:
-        base_pair_mask |= mask(bl)
+        base_pair_mask |= _pair_mask(bl, pair_index)
     slack = sum((0x80 + y.bit_count()) << 8 * y for y in subsets)
     yield from _pick_base(options, extra, guard, 0, [], base_pair_mask, slack)
 

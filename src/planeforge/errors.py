@@ -54,11 +54,12 @@ class ExchangeViolation(PlaneError):
 
 
 class BudgetExceeded(PlaneError):
-    """An exhaustive subset search would exceed the configured point budget."""
+    """An exhaustive search would exceed the work budget or a fixed cap."""
 
 
 def subset_budget() -> int:
-    """Maximum ground-set size for exhaustive subset enumeration.
+    """Exponent of the work budget: an exhaustive search of more than
+    2**budget steps is refused (see guard_work).
 
     Controlled by the PLANEFORGE_BUDGET environment variable (default 20).
     Only the genuinely exponential searches honor this; the min-cut
@@ -87,11 +88,11 @@ def _clipped(raw: str) -> str:
     return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
 
 
-def guard_subsets(n_free: int, operation: str) -> None:
-    """Refuse a 2**n_free enumeration when n_free exceeds the budget."""
-    limit = subset_budget()
-    if n_free > limit:
-        raise BudgetExceeded(
-            f"{operation}: would enumerate subsets of {n_free} points "
-            f"(budget {limit}; raise {_BUDGET_ENV} to override)"
-        )
+def guard_work(operation: str, work: int, unit: str, hint: bool = False) -> None:
+    """Refuse an exhaustive search of ``work`` units past 2**budget; ``hint``
+    names the budget and the variable that raises it in the message."""
+    budget = subset_budget()
+    # work > 2**budget, without building 2**budget for a huge budget
+    if budget < work.bit_length() and work > 2**budget:
+        tail = f" (budget {budget}; raise {_BUDGET_ENV} to override)" if hint else ""
+        raise BudgetExceeded(f"{operation}: {work} {unit} exceed the subset budget{tail}")

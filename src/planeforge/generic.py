@@ -57,13 +57,13 @@ from .census import (
     enumerate_strong_extensions,
     exact_census,
 )
-from .embedding import are_isomorphic, embeddings
+from .embedding import embeddings
 from .errors import (
     BudgetExceeded,
     NotStrong,
     PlaneError,
     PreconditionError,
-    guard_subsets,
+    guard_work,
 )
 from .plane import Plane, line_through, make_plane, restrict, validate
 from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
@@ -395,21 +395,26 @@ class AuditReport:
 
 
 def _typed_strong_subsets(plane: Plane, base_rep: Plane):
-    """Strong subsets of ``plane`` inducing a copy of ``base_rep``, lex order."""
-    size = len(base_rep.points)
-    for combo in combinations(sorted(plane.points), size):
+    """Strong subsets of ``plane`` inducing a copy of ``base_rep``, in lex
+    order, each with its isomorphisms from ``base_rep``: (points, sigmas).
+
+    The isomorphisms are searched once per subset, here, and every template
+    is then tried over the same list (see _realize_over)."""
+    shape = sorted(map(len, base_rep.lines))
+    for combo in combinations(sorted(plane.points), len(base_rep.points)):
         pts = frozenset(combo)
-        if not are_isomorphic(restrict(plane, pts), base_rep):
+        sub = restrict(plane, pts)
+        if sorted(map(len, sub.lines)) != shape:  # are_isomorphic's quick test
             continue
-        if not is_strong(plane, pts):
-            continue
-        yield pts
+        sigmas = list(embeddings(base_rep, sub))
+        if sigmas and is_strong(plane, pts):
+            yield pts, sigmas
 
 
-def _realize_over(plane: Plane, base_rep: Plane, instance: frozenset, template: Plane):
-    """Image of ``template`` over ``instance`` strongly embedded in ``plane``."""
-    sub = restrict(plane, instance)
-    for sigma in embeddings(base_rep, sub):
+def _realize_over(plane: Plane, sigmas: list, template: Plane):
+    """Image of ``template`` strongly embedded in ``plane`` over one of the
+    base isomorphisms ``sigmas``, tried in order, or None."""
+    for sigma in sigmas:
         for emb in embeddings(template, plane, fixed=sigma):
             image = frozenset(emb.values())
             if is_strong(plane, image):
@@ -427,8 +432,11 @@ def check_genericity(plane: Plane, radius: int, per_subset: bool = False) -> Aud
     most ``radius`` (size-3 sweeps are skipped past 200k subsets) and counts
     closures that swallow the whole plane.  ``per_subset`` additionally
     checks realization over every strong subset individually — exhaustive,
-    so it is guarded by the subset budget.  The radius is capped at
-    EXTENSION_CAP, the extension search's cap, before the plane is checked.
+    so the subset budget bounds the (subset, template) pairs it may try:
+    C(n, |base|) subsets for each template over each base type.  Each pair
+    is an embedding search over the plane, which the guard does not bound.
+    The radius is capped at EXTENSION_CAP, the extension search's cap,
+    before the plane is checked.
     """
     if radius < 0:
         raise PreconditionError("radius must be nonnegative")
@@ -442,22 +450,23 @@ def check_genericity(plane: Plane, radius: int, per_subset: bool = False) -> Aud
 
     rows = []
     subset_checked = subset_realized = None
+    types = [(b, enumerate_strong_extensions(b, radius)) for b in enumerate_planes(radius)]
     if per_subset:
-        guard_subsets(len(plane.points), "per-subset genericity audit")
+        pairs = sum(comb(len(plane.points), len(b.points)) * len(ts) for b, ts in types)
+        guard_work("per-subset genericity audit", pairs, "subset-template pairs", hint=True)
         subset_checked = subset_realized = 0
 
-    for base_rep in enumerate_planes(radius):
-        templates = enumerate_strong_extensions(base_rep, radius)
+    for base_rep, templates in types:
         if not templates:
             continue
         # one walk over the typed instances, trying each template until it
         # is realized (always under per_subset): its first witness in lex order
         found: dict[int, tuple] = {}
-        for inst in _typed_strong_subsets(plane, base_rep):
+        for inst, sigmas in _typed_strong_subsets(plane, base_rep):
             for i, template in enumerate(templates):
                 if i in found and not per_subset:
                     continue
-                image = _realize_over(plane, base_rep, inst, template)
+                image = _realize_over(plane, sigmas, template)
                 if per_subset:
                     subset_checked += 1
                     subset_realized += image is not None

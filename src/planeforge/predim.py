@@ -16,7 +16,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import BudgetExceeded, PreconditionError, subset_budget
+from .errors import PreconditionError, guard_work
 from .plane import Plane, _as_subset, rank
 
 
@@ -228,12 +228,7 @@ def is_k_strong(
     if k >= len(free):
         return is_strong(plane, seed, universe)
     work = sum(comb(len(free), i) for i in range(1, k + 1))
-    budget = subset_budget()
-    # work > 2**budget, without building 2**budget for a huge budget
-    if budget < work.bit_length() and work > 2**budget:
-        raise BudgetExceeded(
-            f"is_k_strong: {work} increments exceed the subset budget"
-        )
+    guard_work("is_k_strong", work, "increments")
     base = delta(plane, seed)
     for size in range(1, k + 1):
         for extra in combinations(free, size):

@@ -273,6 +273,29 @@ def oracle_canonical_labeling(plane):
     return (len(plane.points), best_key), best_label
 
 
+def oracle_least_encoding(lines, choices):
+    """_least_encoding by trying every permutation of every searched class.
+
+    ``choices`` has the shape its callers give it: a label with one choice
+    is fixed, and a searched class of k points is the same list of them for
+    k labels in a row.  Classes are permuted in nested order, the first
+    outermost and each in itertools.permutations order, and the first order
+    with the least line encoding is kept.  Returns (encoding, order).
+    """
+    classes, d = [], 0
+    while d < len(choices):
+        classes.append(choices[d])
+        d += len(choices[d])
+    best = None
+    for perms in product(*(permutations(cls) for cls in classes)):
+        order = [p for perm in perms for p in perm]
+        label = {p: i for i, p in enumerate(order)}
+        encoding = tuple(sorted(tuple(sorted(label[p] for p in l)) for l in lines))
+        if best is None or encoding < best[0]:
+            best = encoding, order
+    return best
+
+
 def oracle_strong_extensions(base, k):
     """enumerate_strong_extensions by generating every induced line set and
     keeping those the base is strong in, by the library's min-cut

@@ -27,12 +27,13 @@ from planeforge import (
 )
 from planeforge.census import CENSUS_CAP, EXTENSION_CAP, canonical_labeling
 
-from .conftest import random_plane
+from .conftest import random_lines, random_plane
 from .oracles import (
     _oracle_over_base_key,
     oracle_canonical_labeling,
     oracle_in_K0,
     oracle_is_strong,
+    oracle_least_encoding,
     oracle_strong_extensions,
 )
 
@@ -170,6 +171,31 @@ def test_builder_labellings_match_oracle(monkeypatch, nd10):
     assert len(seen) > 500
     for plane in seen.values():
         assert canonical_labeling(plane) == oracle_canonical_labeling(plane), plane
+
+
+def test_least_encoding_matches_oracle_on_mixed_choices():
+    # Fixed and searched labels in any mix, not only the shapes of plane
+    # keys (refined classes) and over-base keys (fixed base, one new class).
+    rng = random.Random(20261019)
+    mixed = several = 0  # cases with fixed and searched labels; with 2+ classes
+    for _ in range(300):
+        pts = [f"p{i}" for i in range(rng.randint(0, 9))]
+        lines = random_lines(rng, pts, rng.randint(0, 8))
+        rng.shuffle(pts)
+        choices, d, classes = [], 0, 0
+        while d < len(pts):
+            cls = pts[d : d + rng.randint(1, 4)]
+            if len(cls) > 1 and rng.random() < 0.75:
+                choices.extend([cls] * len(cls))
+                classes += 1
+            else:
+                choices.extend([p] for p in cls)
+            d += len(cls)
+        mixed += 0 < classes and any(len(c) == 1 for c in choices)
+        several += classes > 1
+        got = census_mod._least_encoding(lines, choices)
+        assert got == oracle_least_encoding(lines, choices), (lines, choices)
+    assert mixed > 0 and several > 0
 
 
 def test_canonical_labeling_prunes_ag23(monkeypatch):

@@ -588,9 +588,27 @@ def test_audit_decides_each_instance_and_template_once(monkeypatch, fig2):
 
 
 def test_audit_per_subset_budget(monkeypatch):
+    # The guard counts the (subset, template) pairs the walk may try: at
+    # radius 1 one template over each of the empty and the one-point base,
+    # so 1 + n pairs, against 2**3.
     monkeypatch.setenv("PLANEFORGE_BUDGET", "3")
-    with pytest.raises(BudgetExceeded):
-        check_genericity(make_plane("abcd"), 1, per_subset=True)
+    message = (
+        r"^per-subset genericity audit: 10 subset-template pairs exceed the "
+        r"subset budget \(budget 3; raise PLANEFORGE_BUDGET to override\)$"
+    )
+    with pytest.raises(BudgetExceeded, match=message):
+        check_genericity(make_plane("abcdefghi"), 1, per_subset=True)
+    report = check_genericity(make_plane("abcd"), 1, per_subset=True)
+    assert report.passed and report.subset_pairs_checked == 5
+
+
+def test_audit_per_subset_on_a_24_point_plane(monkeypatch, fig2):
+    # 25 pairs at radius 1, well within the default budget of 2**20.
+    monkeypatch.delenv("PLANEFORGE_BUDGET", raising=False)
+    copies = [[f"{p}{i}" for p in line] for i in range(4) for line in fig2.lines]
+    plane = make_plane([f"{p}{i}" for i in range(4) for p in fig2.points], copies)
+    report = check_genericity(plane, 1, per_subset=True)
+    assert report.passed and report.subset_pairs_checked == 1 + 24
 
 
 def test_audit_guards(fano):
