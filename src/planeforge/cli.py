@@ -211,7 +211,7 @@ def _cmd_build(args) -> int:
     chain = build_generic(args.steps, args.ext_bound, seeds=seeds)
     if args.output:
         os.makedirs(args.output, exist_ok=True)
-        for i, stage in enumerate(chain.stages):
+        for i, stage in enumerate(chain.replay()):  # one stage at a time
             _write_plane(
                 os.path.join(args.output, f"stage_{i:03d}.plane"),
                 f"stage-{i:03d}",

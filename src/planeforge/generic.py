@@ -11,23 +11,28 @@ situation at a time, so a build that stops inside a tier never enumerates
 the rest of it.  A tier's templates come one (base, new size) group at a
 time, each size enumerated once, and their strength over the base is
 decided from delta increments while they are generated, so the tiers solve
-no min-cut (see census._strong_line_sets).  Each step keeps its checks exact
-but local: the old stage's strength by a min-cut on the step's own lines, the
-lines the successor added, which alone decide it (see _Builder.fire); that
-the old stage is induced in the new one, from the lines the step changed;
-and the amalgam by canonical_amalgam's glue-local checks.  The glue reads
-only the stage lines through the base: the builder keeps a point -> lines
-index of its current stage, updated from the lines each step adds and
-drops, and hands those lines to amalgam._canonical_glue, so the glue
-makes no pass of its own over the stage (the stages keep no index).  K0 is never
-solved per step: a plane with a strong, induced subplane in K0 is itself
-in K0 (see _Builder.fire), so every stage is in K0 by proof.  The glue
-validates its inputs, but a stage is itself a canonical amalgam, valid by
-proof and marked so, so only the small glued copy is ever checked in full
-(see canonical_amalgam).  Glued copies are labelled on demand: a copy
-waits in a queue for its shape, its point count and sorted line sizes,
-which a canonical key fixes, until a base of that shape is asked for (see
-_Builder.instance).
+no min-cut (see census._strong_line_sets).
+The builder keeps one stage, as mutable point and line sets with a point ->
+lines index, and no plane per step.  amalgam._canonical_glue reads only the
+stage lines through the base, which the index gives, and returns the step
+as data: its new points, the lines it added and dropped and the lines it
+identified.  The builder checks the step on that data and applies it in
+place, so a step costs time in its own size, not the stage's.  The checks
+are exact but local: the old stage's strength by a min-cut on the step's
+own lines, the lines the successor added, which alone decide it; that the
+old stage is induced in the new one, from the lines the step changed (see
+_Builder.fire); and the amalgam by the glue's own checks.  K0 is never
+solved per step: a plane with a strong, induced subplane in K0 is itself in
+K0 (see _Builder.fire), so every stage is in K0 by proof.  No stage is
+validated either: only the small glued copy is ever checked in full.
+The chain keeps the final plane and the step records, whose added and
+dropped lines replay every stage from the empty plane on demand (see
+ExtensionChain), so a build's memory grows with its steps, not with the
+sum of its stages.  Glued copies are labelled on demand: a copy waits in a
+queue for its shape, its point count and sorted line sizes, which a
+canonical key fixes, until a base of that shape is asked for (see
+_Builder.instance); past the last tier only the shapes of the pushed-back
+pairs are kept.
 check_genericity measures how much of that closure a finished stage
 actually exhibits.
 """
@@ -37,11 +42,14 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, combinations
 from math import comb
+from typing import AbstractSet
 
 from .amalgam import (
     _canonical_glue,
+    _successor,
     canonical_amalgam,
     classify_primitive,
     decompose,
@@ -65,7 +73,7 @@ from .errors import (
     PreconditionError,
     guard_work,
 )
-from .plane import Plane, line_through, make_plane, restrict, validate
+from .plane import Plane, _record_valid, line_through, make_plane, restrict, validate
 from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
 
 ICL_SWEEP_CAP = 200_000
@@ -87,7 +95,12 @@ def plane_label(plane: Plane) -> str:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One amalgamation step: which subset grew, by which class, into what."""
+    """One amalgamation step: which subset grew, by which class, into what.
+
+    ``added`` holds the step's new points, ``added_lines`` and
+    ``dropped_lines`` the lines the stage gained and lost: a stage is the
+    one before it with its step applied (see ExtensionChain.replay).
+    """
 
     index: int
     base: frozenset
@@ -95,16 +108,36 @@ class StepRecord:
     template: Plane
     template_label: str
     identified: frozenset
+    added_lines: tuple
+    dropped_lines: tuple
 
 
 @dataclass(frozen=True)
 class ExtensionChain:
-    stages: tuple
+    """The last stage of a build and the steps that led to it.
+
+    The earlier stages are not kept, so a chain's size grows with its steps,
+    not with the sum of its stages; ``replay`` and ``stages`` rebuild them.
+    """
+
+    final: Plane
     steps: tuple
 
-    @property
-    def final(self) -> Plane:
-        return self.stages[-1]
+    def replay(self) -> Iterator[Plane]:
+        """The stages in order, from the empty plane to one equal to
+        ``final``, each the one before with its step applied.  Every stage
+        is a canonical amalgam of valid planes, so each is marked valid."""
+        stage = make_plane(())
+        _record_valid(stage)
+        yield stage
+        for record in self.steps:
+            stage = _successor(stage, record)
+            yield stage
+
+    @cached_property
+    def stages(self) -> tuple:
+        """Every stage, from one replay on first use, kept from then on."""
+        return tuple(self.replay())
 
     def __repr__(self) -> str:
         return f"ExtensionChain({len(self.steps)} steps, final={self.final!r})"
@@ -120,26 +153,34 @@ class _TypePair:
 class _Builder:
     def __init__(self, ext_bound: int):
         self.ext_bound = ext_bound
-        self.stage = make_plane(())
-        self.stages = [self.stage]
+        # the current stage, which each step changes in place
+        self.points: set[str] = set()
+        self.lines: set[frozenset[str]] = set()
+        # point -> lines of the current stage through it
+        self.through: dict[str, list[frozenset[str]]] = {}
         self.records: list[StepRecord] = []
         self.counter = 0
         # type key -> (instance points, map canonical-label -> stage point)
         self.instances: dict = {}
         # shape -> offered copies not labelled yet, in offer order
         self.queued: dict[tuple, deque] = {}
-        # point -> lines of the current stage through it, kept up to date
-        # from the lines each step adds and drops
-        self.through: dict[str, list[frozenset[str]]] = {}
-        # the empty stage, as a plane of its own: labelling caches incidence
-        # indices on the plane it labels, and stages keep none
-        self._register(make_plane(()))
+        # the shapes a base can still be asked for, None while any can
+        self.wanted: set[tuple] | None = None
+        self._register(make_plane(()))  # the empty stage
 
     def _register(self, copy: Plane) -> None:
         """Offer ``copy``, a subplane induced in the stage, as a base instance."""
         if len(copy.points) <= CENSUS_CAP:  # tier bases stay census-sized
             shape = _shape(len(copy.points), copy.lines)
-            self.queued.setdefault(shape, deque()).append(copy)
+            if self.wanted is None or shape in self.wanted:
+                self.queued.setdefault(shape, deque()).append(copy)
+
+    def only_shapes(self, shapes: set[tuple]) -> None:
+        """Keep only the queued copies of ``shapes``, and queue no copy of
+        another shape from now on: no base of another shape will be asked
+        for (see instance)."""
+        self.wanted = shapes
+        self.queued = {s: q for s, q in self.queued.items() if s in shapes}
 
     def instance(self, key: tuple):
         """The first offered copy of type ``key`` as (points, label map), or
@@ -175,12 +216,11 @@ class _Builder:
             [rename[p] for p in template.points],
             [[rename[p] for p in l] for l in template.lines],
         )
-        old = self.stage
+        old = self.points
         # the stage lines meeting the base twice, counted through its points
         on_base = Counter(l for p in inst_points for l in self.through.get(p, ()))
         meeting = [line for line, k in on_base.items() if k >= 2]
-        result = _canonical_glue(old, concrete, inst_points, meeting)
-        new_stage = result.plane
+        step = _canonical_glue(old, self.lines, concrete, inst_points, meeting)
         # The new stage is in K0 by proof.  delta is submodular, so for every
         # X inside it, delta(X) >= delta(X | S) - delta(S) + delta(X & S)
         # with S the old stage's points.  S is strong, so delta(X | S) >=
@@ -198,41 +238,44 @@ class _Builder:
         # its union with S.  So S is strong in the new stage exactly
         # when S & G is strong in G, a min-cut the size of the step.  This
         # needs no inducedness, so the two checks stay independent, but it
-        # needs S inside the new stage, which is checked first: G cannot
-        # see an old point the successor dropped.
+        # needs the step's new points outside S, which is checked first: a
+        # stage point the step lists as new would be taken over by the
+        # copy, so the successor would drop it as a stage point, and G
+        # would count it as new.
         #
         # Induced means the traces on S of the new lines, where three points
         # or more, are the old lines; a kept line is its own trace, so the
         # lines the step added must trace the lines it dropped, one for one.
-        if not old.points <= new_stage.points:
+        if not old.isdisjoint(step.added):
             raise PlaneError("builder invariant broken: successor drops stage points")
-        added = new_stage.lines - old.lines
-        if not _strong_over(old, new_stage, added):
+        if not _strong_over(old, step.added, step.added_lines):
             raise PlaneError("builder invariant broken: stage not strong in successor")
-        dropped = old.lines - new_stage.lines
         traces = Counter(
-            line & old.points for line in added if len(line & old.points) >= 3
+            line & old for line in step.added_lines if len(line & old) >= 3
         )
-        if traces != Counter(dropped):
+        if traces != Counter(step.dropped_lines):
             raise PlaneError("builder invariant broken: stage not induced in successor")
-        for line in dropped:
+        self.points |= step.added
+        self.lines.difference_update(step.dropped_lines)
+        self.lines.update(step.added_lines)
+        for line in step.dropped_lines:
             for p in line:
                 self.through[p].remove(line)
-        for line in added:
+        for line in step.added_lines:
             for p in line:
                 self.through.setdefault(p, []).append(line)
         self.records.append(
             StepRecord(
                 index=len(self.records),
                 base=inst_points,
-                added=frozenset(fresh.values()),
+                added=step.added,
                 template=template,
                 template_label=plane_label(template),
-                identified=result.identified_lines,
+                identified=step.identified,
+                added_lines=step.added_lines,
+                dropped_lines=step.dropped_lines,
             )
         )
-        self.stage = new_stage
-        self.stages.append(new_stage)
         self._register(concrete)
 
 
@@ -242,12 +285,12 @@ def _shape(n: int, lines) -> tuple:
     return n, tuple(sorted(map(len, lines)))
 
 
-def _strong_over(old: Plane, new: Plane, added: frozenset) -> bool:
-    """is_strong(new, old.points) for old.points <= new.points, decided on
-    ``added``, the lines of ``new`` that ``old`` lacks (see _Builder.fire).
-    """
-    glue = Plane((new.points - old.points).union(*added), added)
-    return is_strong(glue, glue.points & old.points)
+def _strong_over(old: AbstractSet[str], new: frozenset, added: tuple) -> bool:
+    """Whether the points ``old`` of a stage are strong in its successor by
+    a step with the new points ``new`` and the added lines ``added``,
+    decided on the step's own lines (see _Builder.fire)."""
+    glue = Plane(new.union(*added), frozenset(added))
+    return is_strong(glue, glue.points & old)
 
 
 def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
@@ -285,10 +328,12 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
     strong instance in the current stage yet is pushed back and retried after
     the others.  ``seeds`` are extension templates over the empty set,
     processed first (one step each) — the fair sweep reaches every class
-    eventually, seeding just front-loads chosen ones.  The chain records the
-    concrete base, the added points, and the line identifications per step.
-    Seeds are validated once; every later stage is a canonical amalgam of
-    valid planes, so no stage is ever re-validated.
+    eventually, seeding just front-loads chosen ones.  The chain keeps the
+    final stage and, per step, the concrete base, the added points, the
+    added and dropped lines and the line identifications, from which it
+    replays the stages on demand.  Seeds and glued copies are validated
+    once; every stage is a canonical amalgam of valid planes, so no stage
+    is ever validated.
     """
     if steps < 0:
         raise PreconditionError("step count must be nonnegative")
@@ -318,7 +363,11 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
     tier, fired = 0, False
     while len(builder.records) < steps and (tier < CENSUS_CAP or fired):
         tier += 1
-        tier_pairs = _tier_pairs(tier, ext_bound) if tier <= CENSUS_CAP else ()
+        if tier <= CENSUS_CAP:
+            tier_pairs = _tier_pairs(tier, ext_bound)
+        else:  # no tier is left: only the pushed-back pairs ask for bases
+            builder.only_shapes({_shape(*pair.base_key) for pair in pending})
+            tier_pairs = ()
         offered, pending, fired = chain(pending, tier_pairs), [], False
         for pair in offered:
             if builder.instance(pair.base_key) is None:
@@ -329,7 +378,9 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
             if len(builder.records) >= steps:
                 break
 
-    return ExtensionChain(stages=tuple(builder.stages), steps=tuple(builder.records))
+    final = Plane(frozenset(builder.points), frozenset(builder.lines))
+    _record_valid(final)
+    return ExtensionChain(final=final, steps=tuple(builder.records))
 
 
 # ---------------------------------------------------------------------------

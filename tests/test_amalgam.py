@@ -541,18 +541,14 @@ def test_canonical_amalgam_reports_an_invalid_input_first():
 
 
 @pytest.mark.parametrize("steps, ext_bound", [(200, 2), (120, 3)])
-def test_builder_steps_match_whole_plane_oracle(monkeypatch, nd10, steps, ext_bound):
-    glued = []
-    glue = generic_mod._canonical_glue
-
-    def checked(a, b, shared, a_lines):
-        got = glue(a, b, shared, a_lines)
-        want = oracle_canonical_amalgam(a, b, shared)
-        assert (got.plane, got.identified_lines) == want
-        glued.append(got)
-        return got
-
-    monkeypatch.setattr(generic_mod, "_canonical_glue", checked)
+def test_builder_steps_match_whole_plane_oracle(nd10, steps, ext_bound):
+    # Each replayed stage is its predecessor glued to the copy the step
+    # added, over the step's base, with the step's identifications.
     chain = generic_mod.build_generic(steps, ext_bound, seeds=[nd10])
-    assert len(glued) == steps
-    assert [g.plane for g in glued] == list(chain.stages[1:])
+    stages = list(chain.replay())
+    assert len(stages) == steps + 1
+    for stage, successor, step in zip(stages, stages[1:], chain.steps):
+        copy = restrict(successor, step.base | step.added)
+        want = oracle_canonical_amalgam(stage, copy, step.base)
+        assert (successor, step.identified) == want, step.index
+    assert stages[-1] == chain.final

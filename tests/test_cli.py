@@ -1,10 +1,11 @@
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
 
-from planeforge import parse_plane, read_plane
+from planeforge import ExtensionChain, parse_plane, read_plane
 from planeforge import cli
 from planeforge.cli import main
 
@@ -378,6 +379,30 @@ def test_census_guard(capsys):
     code, _, err = run(capsys, "census", "9")
     assert code == 2
     assert "precondition error" in err
+
+
+def test_build_output_tree_is_pinned(tmp_path, capsys, monkeypatch):
+    # Every stage file and chain.log, byte for byte.  The files are written
+    # during one replay of the steps, never from the chain's kept stages.
+    def no_stages(chain):
+        raise AssertionError("build --output read ExtensionChain.stages")
+
+    monkeypatch.setattr(ExtensionChain, "stages", property(no_stages))
+    out_dir = tmp_path / "chain"
+    code, out, _ = run(
+        capsys, "build", "--steps", "200", "--ext-bound", "2", "--seed-fixtures",
+        "--output", str(out_dir),
+    )
+    assert (code, out) == (0, "steps: 200\npoints: 349\nlines: 87\ndelta: 72\n")
+    names = sorted(os.listdir(out_dir))
+    assert len(names) == 202
+    digest = hashlib.sha256()
+    for name in names:
+        digest.update(name.encode())
+        digest.update((out_dir / name).read_bytes())
+    assert digest.hexdigest() == (
+        "4d6d2aeaa0bb02a81a15c998bd9bbf34252c37b675d8f41f54327a6d1868b753"
+    )
 
 
 def test_build_and_log(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import copy
+import dataclasses
 import hashlib
 import inspect
 import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -38,7 +40,6 @@ from planeforge import (
     witness_not_one_based,
     witness_weak_ei,
 )
-from planeforge.amalgam import AmalgamResult
 from planeforge.census import CENSUS_CAP, canonical_labeling
 from planeforge.generic import plane_label
 from planeforge.plane import Plane
@@ -170,8 +171,10 @@ def test_seeded_build_firing_order_is_pinned(nd10):
 
 
 def test_build_ends_when_the_tiers_run_out():
-    # With ext_bound 1 every situation up to tier 7 fires, and the sweep
-    # ends with tier CENSUS_CAP = 7, the last tier the census can list.
+    # With ext_bound 1 the sweep goes through tier CENSUS_CAP = 7, the last
+    # tier the census can list, and ends when a round past it fires
+    # nothing: 412 of the 487 pairs fire, and the 75 whose base type (one of
+    # 7) no glued copy has stay pushed back.
     chain = build_generic(100_000, 1)
     assert len(chain.steps) == 412
     assert _chain_digest(chain) == (
@@ -233,9 +236,10 @@ def test_tiers_solve_no_flow(monkeypatch):
 
 
 def test_build_never_rechecks_a_stage(monkeypatch, nd10):
-    # Each stage is a canonical amalgam, valid by proof and marked so; the
-    # full structural check runs once per seed and glued copy, and on the
-    # empty starting stage, which the first step validates as its input.
+    # Each stage is a canonical amalgam, valid by proof: the build keeps its
+    # stage as sets, never as a plane to check, and the replayed stages are
+    # marked valid.  The full structural check runs once per seed and glued
+    # copy, and reading the stages runs it on none.
     checked = []
     check = plane_mod._check_structure
 
@@ -245,21 +249,24 @@ def test_build_never_rechecks_a_stage(monkeypatch, nd10):
 
     monkeypatch.setattr(plane_mod, "_check_structure", counted)
     chain = build_generic(200, 2, seeds=[nd10])
+    assert len(checked) == 1 + 200  # seed, one copy per step
     ids = [id(p) for p in checked]
     assert len(set(ids)) == len(ids)  # no plane checked twice
-    assert not {id(stage) for stage in chain.stages[1:]} & set(ids)
-    assert len(checked) == 1 + 1 + 200  # empty stage, seed, one copy per step
+    stages = chain.stages
+    assert len(stages) == 1 + 200
+    assert len(checked) == 1 + 200  # the replay checks nothing
+    assert all(stage.__dict__.get("_valid") for stage in (*stages, chain.final))
 
 
 # A two-step build (the ten-point seed, then two free points) whose second
-# successor is corrupted after the glue (amalgam._canonical_glue).  Each
-# corruption keeps the old stage's points; fire must reject it with the
+# step is corrupted after the glue (amalgam._canonical_glue): each case adds
+# lines to those the step adds and drops.  fire must reject it with the
 # message given.
 CORRUPTED_SUCCESSORS = """
+from dataclasses import replace
+
 from planeforge import PlaneError, build_generic, generic, make_plane
 from planeforge import non_desarguesian_plane
-from planeforge.amalgam import AmalgamResult
-from planeforge.plane import Plane
 
 ND10 = non_desarguesian_plane()
 # fire names the seed's points x1 ... x10 in sorted order
@@ -267,33 +274,38 @@ X = {p: f"x{i}" for i, p in enumerate(sorted(ND10.points), 1)}
 AXIS = frozenset(X[p] for p in ("c12", "c13", "c23"))  # on no old line
 OLD = frozenset(X[p] for p in ("a1", "a2", "c12"))  # an old line
 NOT_INDUCED = "stage not induced in successor"
-CASES = {
+CASES = {  # name: (message, lines also added, lines also dropped)
     # x11 on two new lines through old pairs: delta drops by one
     "not-strong": (
         "stage not strong in successor",
-        lambda ls: ls | {
+        (
             frozenset({X["c12"], X["c13"], "x11"}),
             frozenset({X["c23"], X["o"], "x11"}),
-        },
+        ),
+        (),
     ),
-    "line-on-three-old-points": (NOT_INDUCED, lambda ls: ls | {AXIS}),
+    "line-on-three-old-points": (NOT_INDUCED, (AXIS,), ()),
     "two-lines-extend-an-old-line": (
         NOT_INDUCED,
-        lambda ls: ls - {OLD} | {OLD | {"x11"}, OLD | {"x12"}},
+        (OLD | {"x11"}, OLD | {"x12"}),
+        (OLD,),
     ),
-    "old-line-dropped": (NOT_INDUCED, lambda ls: ls - {OLD}),
+    "old-line-dropped": (NOT_INDUCED, (), (OLD,)),
 }
 
 REAL_GLUE = generic._canonical_glue
 
 
-def corrupting(mutate):
-    def glue(a, b, shared, a_lines):
-        result = REAL_GLUE(a, b, shared, a_lines)
-        if not a.points:  # the first step: keep it
-            return result
-        plane = Plane(result.plane.points, frozenset(mutate(result.plane.lines)))
-        return AmalgamResult(plane, result.kind, result.identified_lines)
+def corrupting(added, dropped):
+    def glue(points, lines, b, shared, a_lines):
+        step = REAL_GLUE(points, lines, b, shared, a_lines)
+        if not points:  # the first step: keep it
+            return step
+        return replace(
+            step,
+            added_lines=step.added_lines + added,
+            dropped_lines=step.dropped_lines + dropped,
+        )
 
     return glue
 
@@ -303,8 +315,8 @@ def build():
 
 
 if __name__ == "__main__":
-    for name, (message, mutate) in CASES.items():
-        generic._canonical_glue = corrupting(mutate)
+    for name, (message, *corruption) in CASES.items():
+        generic._canonical_glue = corrupting(*corruption)
         try:
             build()
         except PlaneError as exc:
@@ -317,8 +329,10 @@ exec(CORRUPTED_SUCCESSORS, _CORRUPTED)
 
 @pytest.mark.parametrize("case", sorted(_CORRUPTED["CASES"]))
 def test_fire_rejects_a_successor_not_strong_or_not_induced(monkeypatch, case):
-    message, mutate = _CORRUPTED["CASES"][case]
-    monkeypatch.setattr(generic_mod, "_canonical_glue", _CORRUPTED["corrupting"](mutate))
+    message, *corruption = _CORRUPTED["CASES"][case]
+    monkeypatch.setattr(
+        generic_mod, "_canonical_glue", _CORRUPTED["corrupting"](*corruption)
+    )
     with pytest.raises(PlaneError, match=f"^builder invariant broken: {message}$"):
         _CORRUPTED["build"]()
 
@@ -331,7 +345,7 @@ def test_fire_rejects_corrupted_successors_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         f"{name}: builder invariant broken: {message}"
-        for name, (message, _) in _CORRUPTED["CASES"].items()
+        for name, (message, *_) in _CORRUPTED["CASES"].items()
     ]
 
 
@@ -341,14 +355,14 @@ def test_build_stages_keep_no_incidence_index(nd10):
 
 
 def test_fire_rejects_a_successor_that_drops_stage_points(monkeypatch):
-    # A free point, then two more; the second successor loses x1.  x1 is on
-    # no line, so neither the strength nor the inducedness check sees it.
+    # A free point, then two more; the second step lists x1, a stage point,
+    # as new, so the copy would take it over.  x1 is on no line, so neither
+    # the strength nor the inducedness check sees it.
     glue = generic_mod._canonical_glue
 
-    def dropping(a, b, shared, a_lines):
-        result = glue(a, b, shared, a_lines)
-        plane = Plane(result.plane.points - a.points, result.plane.lines)
-        return AmalgamResult(plane, result.kind, result.identified_lines)
+    def dropping(points, lines, b, shared, a_lines):
+        step = glue(points, lines, b, shared, a_lines)
+        return dataclasses.replace(step, added=step.added | frozenset(points))
 
     monkeypatch.setattr(generic_mod, "_canonical_glue", dropping)
     with pytest.raises(
@@ -366,10 +380,15 @@ def test_strength_on_the_steps_lines_matches_the_whole_stage(steps, ext_bound, s
     chain = build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
     verdicts = Counter()
     for old, new, step in zip(chain.stages, chain.stages[1:], chain.steps):
-        for sub in (old, restrict(new, old.points - step.base)):
-            local = generic_mod._strong_over(sub, new, new.lines - sub.lines)
-            assert local == is_strong(new, sub.points), step.index
-            verdicts[local] += 1
+        local = generic_mod._strong_over(old.points, step.added, step.added_lines)
+        assert local == is_strong(new, old.points), step.index
+        verdicts[local] += 1
+        sub = old.points - step.base
+        local = generic_mod._strong_over(
+            sub, new.points - sub, tuple(new.lines - restrict(new, sub).lines)
+        )
+        assert local == is_strong(new, sub), step.index
+        verdicts[local] += 1
     assert verdicts[True] >= steps and verdicts[False] > 0
 
 
@@ -383,7 +402,8 @@ def test_strength_on_added_lines_matches_on_random_subplanes():
         plane = make_plane(points, random_lines(rng, points, 12))
         subset = frozenset(p for p in points if rng.random() < 0.7)
         for old in (restrict(plane, subset), make_plane(subset)):
-            local = generic_mod._strong_over(old, plane, plane.lines - old.lines)
+            added = tuple(plane.lines - old.lines)
+            local = generic_mod._strong_over(subset, plane.points - subset, added)
             assert local == is_strong(plane, subset), (plane, subset)
             verdicts[local] += 1
     assert min(verdicts[True], verdicts[False]) >= 50
@@ -466,13 +486,13 @@ def test_index_fed_glue_matches_a_pass_over_the_stage(
     glue = generic_mod._canonical_glue
     based = Counter()
 
-    def checked(a, b, shared, a_lines):
+    def checked(points, lines, b, shared, a_lines):
         c = frozenset(shared)
-        assert set(a_lines) <= a.lines
+        assert set(a_lines) <= lines
         local = amalgam_mod._based_among(a_lines, c)
-        assert local == amalgam_mod._based_among(a.lines, c)
+        assert local == amalgam_mod._based_among(lines, c)
         based[len(local[0])] += 1
-        return glue(a, b, shared, a_lines)
+        return glue(points, lines, b, shared, a_lines)
 
     monkeypatch.setattr(generic_mod, "_canonical_glue", checked)
     build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
@@ -502,6 +522,46 @@ def test_seeded_build_does_not_depend_on_the_hash_seed():
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == [pinned], hash_seed
+
+
+def test_build_memory_grows_with_the_steps_not_the_stages(nd10):
+    # The chain keeps the last stage and the steps, not every stage: keeping
+    # all 1,001 stages of this build took a 60 MB peak.
+    enumerate_planes(CENSUS_CAP)
+    tracemalloc.start()
+    try:
+        chain = build_generic(1000, 2, seeds=[nd10])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chain.final.points) == 1856
+    assert peak <= 10 * 2**20
+
+
+def test_queue_past_the_last_tier_holds_only_pending_shapes(monkeypatch):
+    # Past tier CENSUS_CAP only the pushed-back pairs ask for bases, so the
+    # queued copies of every other shape are dropped, and none is queued.
+    builders = []
+    init = generic_mod._Builder.__init__
+
+    def capture(builder, ext_bound):
+        builders.append(builder)
+        init(builder, ext_bound)
+
+    monkeypatch.setattr(generic_mod._Builder, "__init__", capture)
+    build_generic(100_000, 1)  # runs past the last tier
+    (builder,) = builders
+    pending = {  # the shapes of the 75 pairs whose base type never turned up
+        generic_mod._shape(*pair.base_key)
+        for tier in range(CENSUS_CAP + 1)
+        for pair in generic_mod._tier_pairs(tier, 1)
+        if pair.base_key not in builder.instances
+    }
+    assert len(pending) == 6
+    assert builder.wanted == pending
+    assert set(builder.queued) <= pending
+    builder._register(make_plane("abc"))  # a shape no pending pair has
+    assert set(builder.queued) <= pending
 
 
 # --- genericity audit -----------------------------------------------------------
