@@ -1,4 +1,4 @@
-"""Core incidence structure: points, lines, closure, rank, rank-2 flats.
+"""Core incidence structure: points, lines, closure, rank, restriction.
 
 A plane is a finite simple rank-<=3 combinatorial geometry given by its
 point set and its nontrivial lines (the lines with at least three points).
@@ -74,8 +74,12 @@ def validate(plane: Plane) -> None:
     comment-like; every line is a subset of the point set with at least 3
     points; two distinct lines meet in at most one point.  The last check
     runs point by point: the k lines through p meet only in p exactly when
-    their union has sum(|l|) - k + 1 points.  Of the clashing pairs this
-    finds, the one first in sorted line order is reported.
+    their union has sum(|l|) - k + 1 points.  Each check reports its least
+    offender, never the first one met, so the message does not depend on
+    set order: the bad name whose repr sorts first, the short or stray line
+    first in sorted order, the clashing pair first in sorted line order.
+    The offenders are gathered by the passes the checks make anyway, so a
+    valid plane pays for no sort.
 
     A plane that passes remembers it, so validating it again is free; a
     plane that fails remembers nothing and raises again on every call.
@@ -91,22 +95,28 @@ def _record_valid(plane: Plane) -> None:
 
 def _check_structure(plane: Plane) -> None:
     """The full structural check behind validate, run on every call."""
-    for p in plane.points:
-        if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable()):
-            raise InvalidPlaneError(f"bad point name: {p!r}")
+    bad = [
+        p for p in plane.points
+        if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable())
+    ]
+    if bad:
+        raise InvalidPlaneError(f"bad point name: {min(bad, key=repr)!r}")
     through: dict[str, list[frozenset[str]]] = {}
+    broken = []
     for line in plane.lines:
-        if len(line) < 3:
-            raise InvalidPlaneError(
-                f"line {sorted(line)} has {len(line)} points; lines need at least 3"
-            )
-        stray = line - plane.points
-        if stray:
-            raise InvalidPlaneError(
-                f"line {sorted(line)} uses unknown points {sorted(stray)}"
-            )
+        if len(line) < 3 or not line <= plane.points:
+            broken.append(sorted(line))
+            continue
         for p in line:
             through.setdefault(p, []).append(line)
+    if broken:
+        line = min(broken)
+        if len(line) < 3:
+            raise InvalidPlaneError(
+                f"line {line} has {len(line)} points; lines need at least 3"
+            )
+        stray = sorted(frozenset(line) - plane.points)
+        raise InvalidPlaneError(f"line {line} uses unknown points {stray}")
     clashes = []
     for ls in through.values():
         if len(ls) > 1 and len(set().union(*ls)) != sum(map(len, ls)) - len(ls) + 1:
@@ -165,54 +175,8 @@ def rank(plane: Plane, subset: Iterable[str] | None = None) -> int:
     return 3
 
 
-def lines_based_in(plane: Plane, base: Iterable[str]) -> frozenset[frozenset[str]]:
-    """Stored lines meeting `base` in at least two points."""
-    b = frozenset(base)
-    return frozenset(line for line in plane.lines if len(line & b) >= 2)
-
-
 def restrict(plane: Plane, subset: Iterable[str]) -> Plane:
     """Induced subplane on a subset: keep line traces with >= 3 points."""
     x = _as_subset(plane, subset, "restrict")
     traces = frozenset(line & x for line in plane.lines if len(line & x) >= 3)
     return Plane(x, traces)
-
-
-def is_subgeometry(sub: Plane, sup: Plane) -> bool:
-    """Points carry over and every sub-line lies inside some sup-line."""
-    if not sub.points <= sup.points:
-        return False
-    return all(
-        any(line <= sup_line for sup_line in sup.lines) for line in sub.lines
-    )
-
-
-def rank2_flats(plane: Plane) -> frozenset[frozenset[str]]:
-    """Stored lines plus the trivial pair flats not covered by any line."""
-    covered = plane.line_of_pair
-    trivial = frozenset(p for p in _pairs(plane.points) if p not in covered)
-    return plane.lines | trivial
-
-
-def is_wedge_subgeometry(sub: Plane, sup: Plane) -> bool:
-    """Whether `sub` sits wedge-compatibly inside `sup`.
-
-    Requires (a) distinct rank-2 flats of sub (trivial pairs included) to
-    have distinct closures in sup, and (b) no outside point of sup to lie
-    on two such closures.  Induced subplanes satisfy (a) automatically;
-    (b) fails exactly when an outside point sits on two sup-lines that
-    each meet sub twice — the configuration that would make two merged
-    lines cross twice in an amalgam.
-    """
-    if not is_subgeometry(sub, sup):
-        return False
-    closures = [closure(sup, flat) for flat in rank2_flats(sub)]
-    if len(set(closures)) != len(closures):
-        return False
-    seen: set[str] = set()
-    for line in lines_based_in(sup, sub.points):
-        outside = line - sub.points
-        if outside & seen:
-            return False
-        seen |= outside
-    return True

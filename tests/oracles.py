@@ -2,14 +2,16 @@
 
 Everything here works by full enumeration over all supersets, straight from
 the definitions, sharing no code with the min-cut engine.  Exponential on
-purpose — only run these on small planes.
+purpose — only run these on small planes.  The wedge helpers
+(lines_based_in, is_subgeometry, rank2_flats, is_wedge_subgeometry) state
+the wedge condition on whole planes; the library decides it locally.
 """
 
 import re
 from itertools import combinations, permutations, product
 from math import inf
 
-from planeforge import InvalidPlaneError
+from planeforge import InvalidPlaneError, closure
 
 
 def oracle_delta(plane, subset=None) -> int:
@@ -140,13 +142,15 @@ def oracle_embeddings(sub, sup, fixed=None) -> list:
 def oracle_validate(plane) -> None:
     """The structural checks with the line axiom tested pair by pair.
 
-    Every two stored lines, in sorted line order, must meet in at most one
-    point; the first pair that does not is reported.
+    Each check walks its candidates in order and reports the first
+    offender: the names by repr, the lines in sorted line order, and every
+    two stored lines, in sorted line order, must meet in at most one point.
     """
-    for p in plane.points:
+    for p in sorted(plane.points, key=repr):
         if not (isinstance(p, str) and re.match(r"^[^\s#]+$", p) and p.isprintable()):
             raise InvalidPlaneError(f"bad point name: {p!r}")
-    for line in plane.lines:
+    lines = sorted(plane.lines, key=sorted)
+    for line in lines:
         if len(line) < 3:
             raise InvalidPlaneError(
                 f"line {sorted(line)} has {len(line)} points; lines need at least 3"
@@ -156,7 +160,6 @@ def oracle_validate(plane) -> None:
             raise InvalidPlaneError(
                 f"line {sorted(line)} uses unknown points {sorted(stray)}"
             )
-    lines = sorted(plane.lines, key=sorted)
     for i, l1 in enumerate(lines):
         for l2 in lines[i + 1 :]:
             common = l1 & l2
@@ -187,6 +190,57 @@ def oracle_min_cut(n, arcs, s, t):
     return best, minimal[0]
 
 
+# --- the wedge condition on whole planes -----------------------------------
+
+
+def lines_based_in(plane, base) -> frozenset:
+    """Stored lines meeting `base` in at least two points."""
+    b = frozenset(base)
+    return frozenset(line for line in plane.lines if len(line & b) >= 2)
+
+
+def is_subgeometry(sub, sup) -> bool:
+    """Points carry over and every sub-line lies inside some sup-line."""
+    if not sub.points <= sup.points:
+        return False
+    return all(
+        any(line <= sup_line for sup_line in sup.lines) for line in sub.lines
+    )
+
+
+def rank2_flats(plane) -> frozenset:
+    """Stored lines plus the trivial pair flats not covered by any line."""
+    covered = plane.line_of_pair
+    pairs = map(frozenset, combinations(plane.points, 2))
+    return plane.lines | frozenset(p for p in pairs if p not in covered)
+
+
+def is_wedge_subgeometry(sub, sup) -> bool:
+    """Whether `sub` sits wedge-compatibly inside `sup`.
+
+    Requires (a) distinct rank-2 flats of sub (trivial pairs included) to
+    have distinct closures in sup, and (b) no outside point of sup to lie
+    on two such closures.  Induced subplanes satisfy (a) automatically;
+    (b) fails exactly when an outside point sits on two sup-lines that
+    each meet sub twice — the configuration that would make two merged
+    lines cross twice in an amalgam.  The library decides it for an
+    induced sub from one pass over the lines meeting it twice
+    (amalgam._based_among); this is the whole-plane statement.
+    """
+    if not is_subgeometry(sub, sup):
+        return False
+    closures = [closure(sup, flat) for flat in rank2_flats(sub)]
+    if len(set(closures)) != len(closures):
+        return False
+    seen = set()
+    for line in lines_based_in(sup, sub.points):
+        outside = line - sub.points
+        if outside & seen:
+            return False
+        seen |= outside
+    return True
+
+
 def oracle_canonical_amalgam(a, b, shared):
     """canonical_amalgam with every check run on whole planes.
 
@@ -200,7 +254,6 @@ def oracle_canonical_amalgam(a, b, shared):
         Plane,
         PlaneError,
         PreconditionError,
-        is_wedge_subgeometry,
         restrict,
     )
 

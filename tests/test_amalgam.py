@@ -25,7 +25,6 @@ from planeforge import (
     icl,
     is_primitive,
     is_strong,
-    is_wedge_subgeometry,
     make_plane,
     restrict,
     sharp_step,
@@ -35,7 +34,11 @@ from planeforge import amalgam, predim
 import planeforge.generic as generic_mod
 
 from .conftest import library_env, random_lines, random_plane
-from .oracles import oracle_canonical_amalgam, oracle_decompose
+from .oracles import (
+    is_wedge_subgeometry,
+    oracle_canonical_amalgam,
+    oracle_decompose,
+)
 
 
 def test_free_amalgam_disjoint(fig2):

@@ -298,6 +298,28 @@ def test_amalgamate_exchange_violation(tmp_path, capsys):
     assert "exchange_violation" in out
 
 
+def test_free_amalgam_names_the_least_colliding_pair_under_any_hash_seed(tmp_path):
+    # Both shared pairs carry a line on each side; the pairs sit in a set,
+    # whose order changes with PYTHONHASHSEED, and the least one is named.
+    a = tmp_path / "a.plane"
+    b = tmp_path / "b.plane"
+    a.write_text("plane a\npoints c0 c1 c2 c3 a1 a2\nline c0 c1 a1\nline c2 c3 a2\n")
+    b.write_text("plane b\npoints c0 c1 c2 c3 b1 b2\nline c0 c1 b1\nline c2 c3 b2\n")
+    script = "import sys; from planeforge.cli import main; sys.exit(main())"
+    want = (
+        "amalgam: failed\n"
+        "exchange_violation: lines ['a1', 'c0', 'c1'] and ['b1', 'c0', 'c1'] "
+        "both extend the shared pair ['c0', 'c1']\n"
+    )
+    for hash_seed in ("0", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "amalgamate", str(a), str(b), "--mode", "free"],
+            capture_output=True, text=True, timeout=60,
+            env={**library_env(), "PYTHONHASHSEED": hash_seed},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, want, ""), hash_seed
+
+
 def test_amalgamate_canonical_glues(tmp_path, capsys):
     a = tmp_path / "a.plane"
     b = tmp_path / "b.plane"

@@ -12,19 +12,21 @@ from planeforge import (
     PreconditionError,
     canonical_key,
     closure,
-    is_subgeometry,
-    is_wedge_subgeometry,
     line_through,
-    lines_based_in,
     make_plane,
     rank,
-    rank2_flats,
     restrict,
     validate,
 )
 
 from .conftest import library_env, random_lines
-from .oracles import oracle_validate
+from .oracles import (
+    is_subgeometry,
+    is_wedge_subgeometry,
+    lines_based_in,
+    oracle_validate,
+    rank2_flats,
+)
 
 
 def test_make_plane_basics():
@@ -132,6 +134,38 @@ def test_validate_raises_every_call_under_optimize():
     assert proc.returncode == 0, proc.stderr
     message = "lines ['a', 'b', 'c'] and ['a', 'b', 'd'] share ['a', 'b']\n"
     assert proc.stdout == 2 * message
+
+
+VALIDATE_MANY_OFFENDERS = """
+from planeforge import InvalidPlaneError, make_plane, validate
+for plane in (
+    make_plane("abcdefgh", ["gh", "cd", "efz", "ab"]),
+    make_plane("abcdefgh", ["ghy", "cdx", "efz", "abw"]),
+    make_plane(["a\\x01", "b\\x02", "c\\x03", "d\\x04", "e"]),
+):
+    try:
+        validate(plane)
+    except InvalidPlaneError as exc:
+        print(exc)
+"""
+
+
+def test_validate_names_the_least_offender_under_any_hash_seed():
+    # The offenders sit in sets, whose order changes with PYTHONHASHSEED;
+    # each check names its least one.
+    want = (
+        "line ['a', 'b'] has 2 points; lines need at least 3\n"
+        "line ['a', 'b', 'w'] uses unknown points ['w']\n"
+        "bad point name: 'a\\x01'\n"
+    )
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", VALIDATE_MANY_OFFENDERS],
+            capture_output=True, text=True, timeout=60,
+            env={**library_env(), "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == want, hash_seed
 
 
 def test_validate_rejects_bad_names():

@@ -35,6 +35,7 @@ line a b c
     "text, fragment, lineno",
     [
         ("points a", "before plane header", 1),
+        ("line a b c", "before plane header", 1),
         ("plane t\nplane u", "duplicate", 2),
         ("plane t\npoints a a", "declared twice", 2),
         ("plane t\npoints a b\nline a b", "at least 3", 3),

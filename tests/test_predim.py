@@ -305,10 +305,16 @@ def test_alpha_matches_mason_recursion():
 
 def test_k_strong_agrees_with_brute_force():
     rng = random.Random(11)
+    cases = []
     for _ in range(40):
         plane = random_plane(rng, max_points=7)
         pts = sorted(plane.points)
-        x = frozenset(p for p in pts if rng.random() < 0.4)
+        cases.append((plane, frozenset(p for p in pts if rng.random() < 0.4)))
+    # abc is 2-strong but not 3-strong: xyz completes three lines over it,
+    # so the subset walk answers both ways
+    cases.append((make_plane("abcxyzw", ["abx", "acy", "bcz", "xyz"]), frozenset("abc")))
+    verdicts = set()
+    for plane, x in cases:
         free = sorted(plane.points - x)
         for k in range(0, len(free) + 1):
             base = delta(plane, x)
@@ -318,6 +324,9 @@ def test_k_strong_agrees_with_brute_force():
                 for extra in combinations(free, size)
             )
             assert is_k_strong(plane, x, k) == expect
+            if k < len(free):  # answered by the walk, not by is_strong
+                verdicts.add(expect)
+    assert verdicts == {True, False}
 
 
 # --- K0 along a growing plane -------------------------------------------------
