@@ -46,7 +46,7 @@ from .errors import (
     PreconditionError,
 )
 from .plane import Plane, _record_valid, restrict, validate
-from .predim import d_rel, delta, icl, in_K0, is_k_strong, is_strong
+from .predim import d_rel, delta, icl, in_K0, is_strong
 
 
 @dataclass(frozen=True)
@@ -401,19 +401,21 @@ def decompose(plane: Plane, lower: Iterable[str], upper: Iterable[str]) -> Decom
 def sharp_step(
     a: Plane, b: Plane, shared: Iterable[str]
 ) -> FreeAmalgam | StrongEmbedding:
-    """Amalgamate a primitive extension with a 1-strong base, sharply.
+    """Amalgamate a primitive extension with a base it is strong in, sharply.
 
-    Returns the free amalgam whenever it is valid and hereditarily
-    nonnegative; otherwise a strong embedding of the first plane into the
-    second over the shared part.  One of the two always exists.
+    The shared part must be strong in both planes, and the first plane
+    primitive over it.  Returns the free amalgam whenever it is valid and
+    hereditarily nonnegative; otherwise a strong embedding of the first
+    plane into the second over the shared part.  One of the two always
+    exists.
     """
     c = _shared_traces(a.points, a.lines, b, shared, "sharp_step")[0]
     if not is_strong(a, c):
         raise NotStrong("sharp_step: shared part must be strong in the first plane")
     if not is_primitive(a, c, a.points):
         raise NotPrimitive("sharp_step: first plane must be primitive over the shared part")
-    if not is_k_strong(b, c, 1):
-        raise NotStrong("sharp_step: shared part must be 1-strong in the second plane")
+    if not is_strong(b, c):
+        raise NotStrong("sharp_step: shared part must be strong in the second plane")
     if a.points == c:
         return StrongEmbedding({p: p for p in sorted(c)})
     try:

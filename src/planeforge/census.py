@@ -1,23 +1,23 @@
 """Census of small planes and strong-extension classes, up to isomorphism.
 
-Enumeration works on integer-labelled line sets with two symmetry prunes
-(covered points form a label prefix; lines are added in strictly ascending
-lexicographic order, new labels taken consecutively), then collapses the
-survivors by canonical key, keeping the first line set of each key.  Class
-representatives are relabelled onto letters through the canonical labelling
-that attains the key, and the census is ordered by key.
+Both come from one line-set search, _strong_line_sets, which extends a base
+plane by new points.  A plane is in K0 exactly when the empty set is strong
+in it, so the census of planes on n points is the strong extensions of the
+empty plane by n points, collapsed by canonical key; class representatives
+are relabelled onto letters through the canonical labelling that attains
+the key, and the census is ordered by key.
 
-Strong extensions of a base are enumerated one size of new points at a
-time, as line sets that keep the base induced.  Strength over the base is
-decided while they are generated, not by a min-cut afterwards: the base is
-strong exactly when no nonempty set Y of new points (at most 15 of them)
-loses more than |Y| to the lines, and a line never lowers a loss, so a
-branch that breaks this is cut with everything below it.  The pruning is
-therefore exact (see _strong_line_sets).  The survivors collapse by their
-key over the base, keeping the first line set of each key.  Both keys come
-from one branch-and-bound search for a least encoding (_least_encoding):
-a plane's key searches its refined color classes, a key over the base
-fixes the base points and searches the new points as one class.
+The search decides strength over the base while it generates, not by a
+min-cut afterwards: the base is strong exactly when no nonempty set Y of
+new points loses more than |Y| to the lines, and a line never lowers a
+loss, so a branch that breaks this is cut with everything below it.  It
+also takes the new points in first-use order, which keeps the first line
+set of every class over the base.  Both cuts are exact (see
+_strong_line_sets).  The survivors collapse by key, keeping the first line
+set of each key.  Both keys come from one branch-and-bound search for a
+least encoding (_least_encoding): a plane's key searches its refined color
+classes, a key over the base fixes the base points and searches the new
+points as one class.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ from .predim import in_K0
 
 CENSUS_CAP = 7
 EXTENSION_CAP = 4
+
+_ONE_MORE = bytes(range(1, 256)) + b"\0"  # bytes.translate table c -> c + 1
 
 _census_cache: dict[int, list[Plane]] = {}
 
@@ -200,69 +202,25 @@ def canonical_key(plane: Plane) -> tuple:
 # plane census
 
 
-def _labeled_line_sets(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """All line sets over points 0..n-1, one representative labelling each.
-
-    Prunes to labellings where every line extends the covered prefix by
-    consecutive new labels and the line list is strictly ascending; each
-    isomorphism class keeps at least one labelling (greedy argument), and
-    duplicates are removed afterwards.  Listed depth first, each line set
-    when first reached (see _add_lines).
-    """
-    candidates = []
-    for size in range(3, n + 1):
-        candidates.extend(combinations(range(n), size))
-    candidates.sort()
-    pair_index = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-    masks = [_pair_mask(line, pair_index) for line in candidates]
-    return list(_add_lines(candidates, masks, 0, (), 0, 0))
-
-
-def _add_lines(candidates, masks, start: int, chosen: tuple, used: int, covered: int):
-    """_labeled_line_sets' search below ``chosen``, whose lines use the
-    pairs in ``used`` and cover labels 0..covered-1: ``chosen``, then the
-    subtree of each admissible candidate from ``start`` on, in order."""
-    yield chosen
-    for i in range(start, len(candidates)):
-        line = candidates[i]
-        fresh = [p for p in line if p >= covered]
-        if fresh != list(range(covered, covered + len(fresh))):
-            continue
-        if masks[i] & used:
-            continue
-        child = (*chosen, line)
-        yield from _add_lines(
-            candidates, masks, i + 1, child, used | masks[i], covered + len(fresh)
-        )
-
-
-def _pair_mask(pts, pair_index: dict) -> int:
-    """Bitmask of the pairs of ``pts``, by their index in ``pair_index``."""
-    m = 0
-    for pair in combinations(sorted(pts), 2):
-        m |= 1 << pair_index[pair]
-    return m
-
-
 def _planes_exactly(n: int) -> list[Plane]:
     """One K0 plane per class on exactly ``n`` points, in canonical letters.
 
-    Keeps the first labelled line set of each canonical key, relabelled by
-    the labelling that attains the key, and sorts the survivors by key.
+    A plane is in K0 exactly when the empty set is strong in it, so these
+    are the strong extensions of the empty plane by ``n`` points: the line
+    sets of _strong_line_sets over no base, whose slack test is then K0
+    membership itself.  Keeps the first line set of each canonical key,
+    relabelled by the labelling that attains the key, and sorts the
+    survivors by key.
     """
-    names = [str(i) for i in range(n)]
+    empty = make_plane(())
+    names = _fresh_names(empty, n)
     found: dict[tuple, Plane] = {}
-    for line_set in _labeled_line_sets(n):
-        plane = make_plane(names, [[str(p) for p in line] for line in line_set])
-        if not in_K0(plane):
-            continue
-        key, label = canonical_labeling(plane)
+    for lines in _strong_line_sets(empty, names):
+        key, label = canonical_labeling(make_plane(names, lines))
         if key in found:
             continue
         name = {p: string.ascii_lowercase[i] for p, i in label.items()}
-        found[key] = make_plane(
-            name.values(), [[name[p] for p in l] for l in plane.lines]
-        )
+        found[key] = make_plane(name.values(), [[name[p] for p in l] for l in lines])
     return [found[key] for key in sorted(found)]
 
 
@@ -297,6 +255,8 @@ def exact_census(n: int) -> list[Plane]:
 
 
 def _fresh_names(base: Plane, count: int) -> list[str]:
+    """The first ``count`` names n1, n2, ... not in ``base``, sorted by name
+    (n10 before n9), as the first-use cut of _strong_line_sets needs."""
     names = []
     i = 1
     while len(names) < count:
@@ -304,12 +264,13 @@ def _fresh_names(base: Plane, count: int) -> list[str]:
         if cand not in base.points:
             names.append(cand)
         i += 1
-    return names
+    return sorted(names)
 
 
 def _strong_line_sets(base: Plane, new: list[str]):
-    """Yield every valid line set extending ``base`` by points ``new`` in
-    which ``base`` is strong, in depth-first order.
+    """Yield valid line sets extending ``base`` by points ``new`` in which
+    ``base`` is strong, in depth-first order: at least the first of each
+    class over the base, in the order of the uncut search.
 
     Each base line may absorb a subset of the new points; additional lines
     use at most two base points and at least one new point, so the trace of
@@ -317,7 +278,8 @@ def _strong_line_sets(base: Plane, new: list[str]):
     extension is induced by construction.  Compatibility is tracked through
     pair bitmasks; two lines may share at most one point, which is the same
     as their pair masks being disjoint (extended base lines contribute only
-    the pairs they add beyond their base line).
+    the pairs they add beyond their base line).  Over the empty base this is
+    every plane on ``new`` whose empty set is strong, that is every K0 plane.
 
     Strength is decided here, with no min-cut.  Every set between the base and
     the extension B is base | Y for some Y among the new points, so by
@@ -326,45 +288,61 @@ def _strong_line_sets(base: Plane, new: list[str]):
     |Y| less the loss of Y: over the lines l of B, with b base points each,
     the sum of max(b + |l & Y| - 2, 0) - max(b - 2, 0).  Every term is
     nonnegative, so adding a line never lowers a loss, and a branch is cut
-    as soon as some loss exceeds |Y|: no line set below it is strong.  The
-    cut branches hold only line sets that are not strong, so the line sets
-    yielded are exactly the strong ones, in the order of the uncut search.
+    as soon as some loss exceeds |Y|: no line set below it is strong.
+
+    Symmetry is cut too: a line may bring in only the next unused new
+    points, in the order of ``new``, so new points are used in first-use
+    order and the points on no line come last.  No class loses its first
+    strong line set in the uncut order.  If a line of that set brought in
+    other unused points, a permutation of only the unused points would fix
+    every earlier choice and send this line's unused points to the next
+    ones.  That makes this choice strictly earlier: a base line's options
+    list the absorbed subsets as index combinations, the extra lines are
+    sorted by name and ``new`` is sorted by name (see _fresh_names), and a
+    line whose points are replaced by earlier ones sorts before it.  The
+    image is valid, strong and of the same class over the base, and it
+    comes first, which cannot be.  So the line sets yielded are a
+    subsequence of the strong ones that holds the first of every class.
 
     The slack |Y| - loss(Y) of every Y (the empty one included, at zero)
     is kept in one integer, a byte per Y with its top bit set while the
-    slack is nonnegative; a line's losses are packed alike and subtracted
-    at once.  A loss per line is at most |Y| <= EXTENSION_CAP, so a field
-    never borrows from the next before its branch is cut.
+    slack is nonnegative; a line's losses are packed alike, read off by
+    |l & Y|, and subtracted at once.  A loss per line is at most |Y| <=
+    CENSUS_CAP, so a field never borrows from the next before its branch is
+    cut.
     """
     allpts = sorted(base.points) + list(new)
     pair_index = {
         tuple(sorted(pair)): i for i, pair in enumerate(combinations(allpts, 2))
     }
     subsets = range(1 << len(new))
-    guard = sum(0x80 << 8 * y for y in subsets)
+    guard = int.from_bytes(b"\x80" * len(subsets), "little")
     bit = {p: 1 << i for i, p in enumerate(new)}
 
-    def losses(line) -> int:
+    def tally(line) -> tuple[int, int]:
+        """The line's new points as a bitmask, and its losses packed."""
         on_new = sum(bit.get(p, 0) for p in line)
         b = len(line) - on_new.bit_count()
-        return sum(
-            max(b + (on_new & y).bit_count() - 2, 0) - max(b - 2, 0) << 8 * y
-            for y in subsets
-        )
+        met = b"\0"  # met[y] = |line & Y|, over the Y among the first i new points
+        for i in range(len(new)):
+            met += met.translate(_ONE_MORE) if on_new >> i & 1 else met
+        loss = bytes(max(b + c - 2, 0) - max(b - 2, 0) for c in range(len(new) + 1))
+        return on_new, int.from_bytes(met.translate(loss.ljust(256, b"\0")), "little")
 
     base_lines = sorted(tuple(sorted(l)) for l in base.lines)
     new_subsets = []
     for size in range(1, len(new) + 1):
         new_subsets.extend(combinations(new, size))
 
-    # options[i] = list of (line tuple, added pair mask, losses) for base line i
+    # options[i]: (line, added pair mask, new-point mask, losses) per choice
+    # for base line i; extra holds the same for the other lines
     options = []
     for bl in base_lines:
-        opts = [(bl, 0, 0)]
+        opts = [(bl, 0, 0, 0)]
         for sub in new_subsets:
             ext = tuple(sorted(bl + sub))
             added = _pair_mask(ext, pair_index) & ~_pair_mask(bl, pair_index)
-            opts.append((ext, added, losses(ext)))
+            opts.append((ext, added, *tally(ext)))
         options.append(opts)
 
     extra = []
@@ -374,49 +352,58 @@ def _strong_line_sets(base: Plane, new: list[str]):
                 if bsize + len(sub) < 3:
                     continue
                 line = tuple(sorted(bpart + sub))
-                extra.append((line, _pair_mask(line, pair_index), losses(line)))
+                extra.append((line, _pair_mask(line, pair_index), *tally(line)))
     extra.sort()
 
     base_pair_mask = 0
     for bl in base_lines:
         base_pair_mask |= _pair_mask(bl, pair_index)
-    slack = sum((0x80 + y.bit_count()) << 8 * y for y in subsets)
-    yield from _pick_base(options, extra, guard, 0, [], base_pair_mask, slack)
+    slack = int.from_bytes(bytes(0x80 + y.bit_count() for y in subsets), "little")
+    yield from _pick_base(options, extra, guard, 0, [], base_pair_mask, slack, 0)
 
 
-def _pick_base(
-    options: list, extra: list, guard: int, i: int, lines: list, used: int, slack: int
-):
-    """_strong_line_sets' search from base line ``i`` on: each base line
-    takes one of its options, then the extra lines are picked.  A module
-    function, not a closure, so a search leaves no reference cycle."""
+def _pick_base(options, extra, guard, i, lines, used, slack, covered):
+    """_strong_line_sets' search from base line ``i`` on, with the first
+    ``covered`` new points used: each base line takes one of its options,
+    then the extra lines are picked.  A module function, not a closure, so
+    a search leaves no reference cycle."""
     if i == len(options):
-        yield from _pick_extra(extra, guard, 0, lines, used, slack)
+        yield from _pick_extra(extra, guard, 0, lines, used, slack, covered)
         return
-    for line, extra_mask, loss in options[i]:
-        if extra_mask & used or (slack - loss) & guard != guard:
+    for line, extra_mask, on_new, loss in options[i]:
+        fresh = on_new >> covered
+        if fresh & (fresh + 1) or extra_mask & used or (slack - loss) & guard != guard:
             continue
         lines.append(line)
+        grown = covered + fresh.bit_length()
         yield from _pick_base(
-            options, extra, guard, i + 1, lines, used | extra_mask, slack - loss
+            options, extra, guard, i + 1, lines, used | extra_mask, slack - loss, grown
         )
         lines.pop()
 
 
-def _pick_extra(
-    extra: list, guard: int, start: int, lines: list, used: int, slack: int
-):
+def _pick_extra(extra, guard, start, lines, used, slack, covered):
     """_strong_line_sets' search over the extra lines from ``start`` on."""
     yield tuple(lines)
     for j in range(start, len(extra)):
-        line, line_mask, loss = extra[j]
-        if line_mask & used or (slack - loss) & guard != guard:
+        line, line_mask, on_new, loss = extra[j]
+        fresh = on_new >> covered
+        if fresh & (fresh + 1) or line_mask & used or (slack - loss) & guard != guard:
             continue
         lines.append(line)
+        grown = covered + fresh.bit_length()
         yield from _pick_extra(
-            extra, guard, j + 1, lines, used | line_mask, slack - loss
+            extra, guard, j + 1, lines, used | line_mask, slack - loss, grown
         )
         lines.pop()
+
+
+def _pair_mask(pts, pair_index: dict) -> int:
+    """Bitmask of the pairs of ``pts``, by their index in ``pair_index``."""
+    m = 0
+    for pair in combinations(sorted(pts), 2):
+        m |= 1 << pair_index[pair]
+    return m
 
 
 def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:

@@ -33,7 +33,6 @@ from planeforge import (
     free_amalgam,
     icl,
     in_K0,
-    is_k_strong,
     is_primitive,
     is_strong,
     iterated_amalgam,
@@ -266,7 +265,7 @@ def test_08_sharp_step_total(capsys):
         calls = 0
         for b in census_upto(5):
             for c in subsets_of(b.points):
-                if not is_k_strong(b, c, 1):
+                if not is_strong(b, c):
                     continue
                 k = min(3, 5 - len(c))
                 if k == 0:

@@ -303,13 +303,35 @@ def test_sharp_step_guards(fano):
         sharp_step(fano, make_plane("1"), frozenset("1"))
     with pytest.raises(NotPrimitive):
         sharp_step(make_plane("cxy"), make_plane("cd"), frozenset("c"))
-    # a point completing two lines over C breaks 1-strength of the base
+    # a point completing two lines over C: C is not strong in the base
     base = make_plane(
         ["p", "q", "r", "s", "y"], [["p", "q", "y"], ["r", "s", "y"]]
     )
     ext = make_plane(["p", "q", "r", "s", "x"])
     with pytest.raises(NotStrong):
         sharp_step(ext, base, frozenset("pqrs"))
+
+
+def test_sharp_step_needs_c_strong_in_the_base():
+    # C is 1-strong in b but not strong: delta(b) = 3 < delta(C) = 4.  The
+    # free amalgam collides on c2 c3, and the one embedding, b0 -> a1, is not
+    # strong, so a 1-strong precondition left sharp_step with neither.
+    a = make_plane(["c0", "c1", "c2", "c3", "b0"], [["b0", "c2", "c3"]])
+    b = make_plane(
+        ["a0", "a1", "a2", "a3", "c0", "c1", "c2", "c3"],
+        [
+            ["a0", "a3", "c3"],
+            ["a1", "a2", "c1"],
+            ["a1", "a3", "c0"],
+            ["a1", "c2", "c3"],
+            ["a2", "c0", "c3"],
+        ],
+    )
+    c = frozenset(["c0", "c1", "c2", "c3"])
+    with pytest.raises(
+        NotStrong, match="^sharp_step: shared part must be strong in the second plane$"
+    ):
+        sharp_step(a, b, c)
 
 
 def test_d_independent_true(fig2):

@@ -29,6 +29,7 @@ from planeforge.census import CENSUS_CAP, EXTENSION_CAP, canonical_labeling
 
 from .conftest import random_lines, random_plane
 from .oracles import (
+    _oracle_extension_line_sets,
     _oracle_over_base_key,
     oracle_canonical_labeling,
     oracle_in_K0,
@@ -351,7 +352,8 @@ def _numbered_base(rng, size):
 def test_over_base_order_matches_the_permutation_oracle():
     # The search's keys over the base must collapse and order the line sets
     # of each size exactly as the least encoding over every order of the
-    # new points does: first line set of each class, in key order.
+    # new points does: first line set of each class in the uncut search, in
+    # key order.  The first-use cut must drop no class's first line set.
     rng = random.Random(20261019)
     cases = lonely = mixed = 0
     for m, sizes in ((1, range(0, 7)), (2, range(0, 6)), (3, range(1, 5)), (4, (2, 3))):
@@ -360,16 +362,49 @@ def test_over_base_order_matches_the_permutation_oracle():
             mixed += sorted(base.points) != sorted(base.points, key=int)
             new = census_mod._fresh_names(base, m)
             first = {}
-            for lines in census_mod._strong_line_sets(base, new):
+            for lines in _oracle_extension_line_sets(base, new):
                 first.setdefault(_oracle_over_base_key(new, lines), lines)
                 lonely += bool(set(new).difference(*lines))
             allpts = list(base.points) + new
             want = [make_plane(allpts, first[key]) for key in sorted(first)]
+            want = [plane for plane in want if oracle_is_strong(plane, base.points)]
             got = list(census_mod._strong_extensions_exactly(base, m))
             assert got == want, (base, m)
             cases += 1
     assert cases == 7 + 6 + 4 + 2
     assert mixed > 0 and lonely > 0  # some new point lies on no line
+
+
+def test_fresh_names_that_cross_a_digit_count():
+    # Over n1..n8 the new points are n10 and n9, and the first-use cut needs
+    # them in name order; listed as n9, n10 it drops 56 of the 208 classes.
+    names = [f"n{i}" for i in range(1, 9)]
+    base = make_plane(names, [names[:6]])
+    assert census_mod._fresh_names(base, 2) == ["n10", "n9"]
+
+    def key(plane):
+        return _oracle_over_base_key(sorted(plane.points - base.points), plane.lines)
+
+    got = [key(p) for p in census_mod._strong_extensions_exactly(base, 2)]
+    want = [key(p) for p in oracle_strong_extensions(base, 2) if p.n_points == 10]
+    assert got == want
+    assert len(got) == 208
+
+
+def test_first_use_cut_keys_few_line_sets(monkeypatch):
+    # abcd/abc by up to 4 new points: 1,192 classes.  Without the first-use
+    # cut every strong line set is keyed, 19,507 of them.
+    calls = 0
+    least_encoding = census_mod._least_encoding
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return least_encoding(*args)
+
+    monkeypatch.setattr(census_mod, "_least_encoding", counted)
+    assert len(enumerate_strong_extensions(make_plane("abcd", ["abc"]), 4)) == 1192
+    assert calls <= 2_200
 
 
 def test_extensions_do_not_pin_their_base():
@@ -388,7 +423,7 @@ def test_extension_determinism():
 
 
 def test_searches_leave_no_reference_cycles(fig2, fano):
-    # Labelling, the census's line-set search, extension enumeration and the
+    # Labelling, the census's plane search, extension enumeration and the
     # embedding search hold no closure that calls itself, so every call
     # frees all it made without the cyclic collector.
     planes = enumerate_planes(6)
@@ -398,7 +433,7 @@ def test_searches_leave_no_reference_cycles(fig2, fano):
         for plane in planes:
             canonical_labeling(plane)
         for n in range(6):
-            census_mod._labeled_line_sets(n)
+            census_mod._planes_exactly(n)
         for base in planes:
             if len(base.points) <= 5:
                 for m in (1, 2):
