@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import string
 from collections.abc import Iterator
+from functools import cache
 from itertools import combinations
 
 from .errors import BudgetExceeded, PreconditionError
@@ -126,14 +127,20 @@ def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
     of the full enumeration.
 
     _descend takes one frame per searched label (none per fixed one), so
-    more searched labels than the recursion limit raise RecursionError.
+    a search with more searched labels than the recursion limit allows
+    raises BudgetExceeded, which names their number.
     """
     on: dict[str, list[int]] = {p: [] for ps in choices for p in ps}
     for i, line in enumerate(lines):
         for p in line:
             on[p].append(i)
     known: list[list[int]] = [[] for _ in lines]  # each line's labels so far
-    return _descend(choices, on, [len(l) for l in lines], known, [], set(), None)
+    try:
+        return _descend(choices, on, [len(l) for l in lines], known, [], set(), None)
+    except RecursionError:
+        searched = sum(len(c) > 1 for c in choices)
+        msg = f"labelling search: {searched} searched labels exceed the recursion limit"
+        raise BudgetExceeded(msg) from None
 
 
 def _descend(choices, on, sizes, known, order, placed, best):
@@ -307,7 +314,8 @@ def _strong_line_sets(base: Plane, new: list[str]):
     The slack |Y| - loss(Y) of every Y (the empty one included, at zero)
     is kept in one integer, a byte per Y with its top bit set while the
     slack is nonnegative; a line's losses are packed alike, read off by
-    |l & Y|, and subtracted at once.  A loss per line is at most |Y| <=
+    |l & Y|, and subtracted at once (see _slack and _losses, which the
+    builder's strength check shares).  A loss per line is at most |Y| <=
     CENSUS_CAP, so a field never borrows from the next before its branch is
     cut.
     """
@@ -315,19 +323,8 @@ def _strong_line_sets(base: Plane, new: list[str]):
     pair_index = {
         tuple(sorted(pair)): i for i, pair in enumerate(combinations(allpts, 2))
     }
-    subsets = range(1 << len(new))
-    guard = int.from_bytes(b"\x80" * len(subsets), "little")
+    m = len(new)
     bit = {p: 1 << i for i, p in enumerate(new)}
-
-    def tally(line) -> tuple[int, int]:
-        """The line's new points as a bitmask, and its losses packed."""
-        on_new = sum(bit.get(p, 0) for p in line)
-        b = len(line) - on_new.bit_count()
-        met = b"\0"  # met[y] = |line & Y|, over the Y among the first i new points
-        for i in range(len(new)):
-            met += met.translate(_ONE_MORE) if on_new >> i & 1 else met
-        loss = bytes(max(b + c - 2, 0) - max(b - 2, 0) for c in range(len(new) + 1))
-        return on_new, int.from_bytes(met.translate(loss.ljust(256, b"\0")), "little")
 
     base_lines = sorted(tuple(sorted(l)) for l in base.lines)
     new_subsets = []
@@ -342,7 +339,8 @@ def _strong_line_sets(base: Plane, new: list[str]):
         for sub in new_subsets:
             ext = tuple(sorted(bl + sub))
             added = _pair_mask(ext, pair_index) & ~_pair_mask(bl, pair_index)
-            opts.append((ext, added, *tally(ext)))
+            on_new = sum(map(bit.get, sub))
+            opts.append((ext, added, on_new, _losses(on_new, len(bl), m)))
         options.append(opts)
 
     extra = []
@@ -352,14 +350,37 @@ def _strong_line_sets(base: Plane, new: list[str]):
                 if bsize + len(sub) < 3:
                     continue
                 line = tuple(sorted(bpart + sub))
-                extra.append((line, _pair_mask(line, pair_index), *tally(line)))
+                on_new = sum(map(bit.get, sub))
+                mask = _pair_mask(line, pair_index)
+                extra.append((line, mask, on_new, _losses(on_new, bsize, m)))
     extra.sort()
 
     base_pair_mask = 0
     for bl in base_lines:
         base_pair_mask |= _pair_mask(bl, pair_index)
-    slack = int.from_bytes(bytes(0x80 + y.bit_count() for y in subsets), "little")
+    slack, guard = _slack(m)
     yield from _pick_base(options, extra, guard, 0, [], base_pair_mask, slack, 0)
+
+
+@cache
+def _slack(m: int) -> tuple[int, int]:
+    """The slack |Y| of each set Y of ``m`` new points, a byte per Y with its
+    top bit set (see _strong_line_sets), and the mask of the top bits."""
+    slack = bytes(0x80 + y.bit_count() for y in range(1 << m))
+    return int.from_bytes(slack, "little"), int.from_bytes(b"\x80" * (1 << m), "little")
+
+
+@cache
+def _losses(on_new: int, b: int, m: int) -> int:
+    """The loss max(b + |l & Y| - 2, 0) - max(b - 2, 0) of a line l with the
+    new points ``on_new`` and ``b`` others, packed as _slack packs.  It
+    depends on b only through min(b, 2), which the builder passes, so its
+    cache grows only with the base line sizes the census passes."""
+    met = b"\0"  # met[y] = |l & Y|, over the Y among the first i new points
+    for i in range(m):
+        met += met.translate(_ONE_MORE) if on_new >> i & 1 else met
+    loss = bytes(max(b + c - 2, 0) - max(b - 2, 0) for c in range(m + 1))
+    return int.from_bytes(met.translate(loss.ljust(256, b"\0")), "little")
 
 
 def _pick_base(options, extra, guard, i, lines, used, slack, covered):

@@ -11,20 +11,22 @@ situation at a time, so a build that stops inside a tier never enumerates
 the rest of it.  A tier's templates come one (base, new size) group at a
 time, each size enumerated once, and their strength over the base is
 decided from delta increments while they are generated, so the tiers solve
-no min-cut (see census._strong_line_sets).
+no min-cut (see census._strong_line_sets); each census base's labelling is
+read off its letters.
 The builder keeps one stage, as mutable point and line sets with a point ->
 lines index, and no plane per step.  amalgam._canonical_glue reads only the
 stage lines through the base, which the index gives, and returns the step
 as data: its new points, the lines it added and dropped and the lines it
 identified.  The builder checks the step on that data and applies it in
 place, so a step costs time in its own size, not the stage's.  The checks
-are exact but local: the old stage's strength by a min-cut on the step's
-own lines, the lines the successor added, which alone decide it; that the
-old stage is induced in the new one, from the lines the step changed (see
-_Builder.fire); and the amalgam by the glue's own checks.  K0 is never
-solved per step: a plane with a strong, induced subplane in K0 is itself in
-K0 (see _Builder.fire), so every stage is in K0 by proof.  No stage is
-validated either: only the small glued copy is ever checked in full.
+are exact but local: the old stage's strength on the lines the successor
+added, which alone decide it, by the census's delta-slack test (a min-cut
+only for a step of more than EXTENSION_CAP points, such as a big seed);
+that the old stage is induced in the new one, from the lines the step
+changed (see _Builder.fire); and the amalgam by the glue's own checks.
+K0 is never solved per step: a plane with a strong, induced subplane in
+K0 is itself in K0 (see _Builder.fire), so every stage is in K0 by proof.
+No stage is validated either: only the small glued copy is checked in full.
 The chain keeps the final plane and the step records, whose added and
 dropped lines replay every stage from the empty plane on demand (see
 ExtensionChain), so a build's memory grows with its steps, not with the
@@ -39,7 +41,7 @@ actually exhibits.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -58,6 +60,8 @@ from .amalgam import (
 from .census import (
     CENSUS_CAP,
     EXTENSION_CAP,
+    _losses,
+    _slack,
     _strong_extensions_exactly,
     canonical_key,
     canonical_labeling,
@@ -100,16 +104,20 @@ class StepRecord:
     ``added`` holds the step's new points, ``added_lines`` and
     ``dropped_lines`` the lines the stage gained and lost: a stage is the
     one before it with its step applied (see ExtensionChain.replay).
+    ``template_label``, the template's plane_label, is computed on each use.
     """
 
     index: int
     base: frozenset
     added: frozenset
     template: Plane
-    template_label: str
     identified: frozenset
     added_lines: tuple
     dropped_lines: tuple
+
+    @property
+    def template_label(self) -> str:
+        return plane_label(self.template)
 
 
 @dataclass(frozen=True)
@@ -157,7 +165,7 @@ class _Builder:
         self.points: set[str] = set()
         self.lines: set[frozenset[str]] = set()
         # point -> lines of the current stage through it
-        self.through: dict[str, list[frozenset[str]]] = {}
+        self.through: dict[str, set[frozenset[str]]] = {}
         self.records: list[StepRecord] = []
         self.counter = 0
         # type key -> (instance points, map canonical-label -> stage point)
@@ -217,9 +225,13 @@ class _Builder:
             [[rename[p] for p in l] for l in template.lines],
         )
         old = self.points
-        # the stage lines meeting the base twice, counted through its points
-        on_base = Counter(l for p in inst_points for l in self.through.get(p, ()))
-        meeting = [line for line, k in on_base.items() if k >= 2]
+        # the stage lines through two base points: each point's lines met
+        # with those through the points before it
+        seen, meeting = set(), set()
+        for p in inst_points:
+            lines = self.through.get(p, ())
+            meeting |= seen.intersection(lines)
+            seen.update(lines)
         step = _canonical_glue(old, self.lines, concrete, inst_points, meeting)
         # The new stage is in K0 by proof.  delta is submodular, so for every
         # X inside it, delta(X) >= delta(X | S) - delta(S) + delta(X & S)
@@ -231,29 +243,27 @@ class _Builder:
         # Strength is checked on the step's own lines.  For S <= X <= new,
         # delta(X) - delta(S) is |X - S| less, over each line, the nullity
         # of its trace on X less that on S.  A kept line lies inside S, so
-        # it adds nothing, and only the added lines count.  Let G be the
-        # plane on the new points and the points of the added lines, with
-        # the added lines.  X over S and its trace on G over S & G differ by
-        # the same amount, and every set of G above S & G is the trace of
-        # its union with S.  So S is strong in the new stage exactly
-        # when S & G is strong in G, a min-cut the size of the step.  This
-        # needs no inducedness, so the two checks stay independent, but it
-        # needs the step's new points outside S, which is checked first: a
-        # stage point the step lists as new would be taken over by the
-        # copy, so the successor would drop it as a stage point, and G
-        # would count it as new.
+        # it adds nothing, and only the added lines count: a delta-slack
+        # test, or a min-cut for a step of more than EXTENSION_CAP points
+        # (see _strong_over).  This needs no inducedness, so the two checks
+        # stay independent, but it needs the step's new points outside S,
+        # which is checked first: a stage point the step lists as new would
+        # be taken over by the copy, so the successor would drop it as a
+        # stage point, and the test would count it as new.
         #
         # Induced means the traces on S of the new lines, where three points
         # or more, are the old lines; a kept line is its own trace, so the
-        # lines the step added must trace the lines it dropped, one for one.
+        # lines the step added must trace the lines it dropped, one for one:
+        # as many traces as dropped lines, no trace twice, the same set.
         if not old.isdisjoint(step.added):
             raise PlaneError("builder invariant broken: successor drops stage points")
         if not _strong_over(old, step.added, step.added_lines):
             raise PlaneError("builder invariant broken: stage not strong in successor")
-        traces = Counter(
-            line & old for line in step.added_lines if len(line & old) >= 3
-        )
-        if traces != Counter(step.dropped_lines):
+        traces = [t for t in (line & old for line in step.added_lines) if len(t) >= 3]
+        distinct = set(traces)
+        if not len(step.dropped_lines) == len(traces) == len(distinct) or (
+            distinct != set(step.dropped_lines)
+        ):
             raise PlaneError("builder invariant broken: stage not induced in successor")
         self.points |= step.added
         self.lines.difference_update(step.dropped_lines)
@@ -263,14 +273,13 @@ class _Builder:
                 self.through[p].remove(line)
         for line in step.added_lines:
             for p in line:
-                self.through.setdefault(p, []).append(line)
+                self.through.setdefault(p, set()).add(line)
         self.records.append(
             StepRecord(
                 index=len(self.records),
                 base=inst_points,
                 added=step.added,
                 template=template,
-                template_label=plane_label(template),
                 identified=step.identified,
                 added_lines=step.added_lines,
                 dropped_lines=step.dropped_lines,
@@ -288,9 +297,23 @@ def _shape(n: int, lines) -> tuple:
 def _strong_over(old: AbstractSet[str], new: frozenset, added: tuple) -> bool:
     """Whether the points ``old`` of a stage are strong in its successor by
     a step with the new points ``new`` and the added lines ``added``,
-    decided on the step's own lines (see _Builder.fire)."""
-    glue = Plane(new.union(*added), frozenset(added))
-    return is_strong(glue, glue.points & old)
+    decided on the step's own lines (see _Builder.fire).  Every set above
+    old is old | Y, Y new, so this is the census's slack test with b a
+    line's points not new (see census._strong_line_sets), checked per line
+    so no packed field borrows.  A step of more than EXTENSION_CAP points
+    (a big seed) takes a min-cut on the plane G of its new points and added
+    lines: a set of G above old & G gains what its union with old gains."""
+    if len(new) > EXTENSION_CAP:
+        glue = Plane(new.union(*added), frozenset(added))
+        return is_strong(glue, glue.points & old)
+    bit = {p: 1 << i for i, p in enumerate(new)}
+    slack, guard = _slack(len(new))
+    for line in added:
+        on_new = sum(bit[p] for p in new & line)
+        slack -= _losses(on_new, min(len(line) - on_new.bit_count(), 2), len(new))
+        if slack & guard != guard:
+            return False
+    return True
 
 
 def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
@@ -299,26 +322,33 @@ def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
     Yields in order of base size, then new size, then census base, then
     template, computing each (new size, base) group only when it is reached,
     so a build that stops early in a tier never pays for the rest.  Each
-    base is labelled once, and each group enumerates the templates of
-    exactly its own new size, once.  Census bases are valid and in K0 by
-    construction, so no group checks its base, and the templates' strength
-    is decided without a min-cut (see census._strong_line_sets).
+    group enumerates the templates of exactly its own new size, once.
+    Census bases are valid and in K0 by construction, so no group checks
+    its base, each base's labelling is read off its letters (see
+    _letter_labeling), and the templates' strength is decided without a
+    min-cut (see census._strong_line_sets).
     """
     for base_size in range(0, tier + 1):
         new_sizes = [
             n for n in range(1, ext_bound + 1) if max(base_size, n) == tier
         ]
-        if not new_sizes:
-            continue
-        bases = exact_census(base_size)
-        labels: dict[int, tuple] = {}
         for new_size in new_sizes:
-            for i, base in enumerate(bases):
-                if i not in labels:
-                    labels[i] = canonical_labeling(base)
-                base_key, base_label = labels[i]
+            for base in exact_census(base_size):
+                base_key, base_label = _letter_labeling(base)
                 for template in _strong_extensions_exactly(base, new_size):
                     yield _TypePair(base_key, base_label, template)
+
+
+def _letter_labeling(base: Plane) -> tuple[tuple, dict[str, int]]:
+    """canonical_labeling of a census plane in closed form: each letter
+    takes its index in sorted order, and the key is the plane's encoding
+    under that label.  The census letters each class by its first least
+    order (see census._planes_exactly), so every refined class is a run of
+    letters, tried in sorted order: the identity is the first leaf of
+    _least_encoding's search, and it attains the least encoding."""
+    label = {p: i for i, p in enumerate(sorted(base.points))}
+    encoding = sorted(tuple(sorted(label[p] for p in line)) for line in base.lines)
+    return (len(label), tuple(encoding)), label
 
 
 def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:

@@ -150,10 +150,27 @@ def test_canonical_labeling_matches_oracle_on_random_planes():
         assert canonical_labeling(plane) == oracle_canonical_labeling(plane), seed
 
 
+def test_census_labellings_in_closed_form_match_the_search():
+    # _tier_pairs reads each census base's (key, label) off its letters;
+    # the chain depends on which of the minimal labels comes back.
+    planes = enumerate_planes(CENSUS_CAP)
+    assert len(planes) == 47
+    for plane in planes:
+        closed = generic_mod._letter_labeling(plane)
+        assert closed == canonical_labeling(plane) == oracle_canonical_labeling(plane)
+    # A relabelled copy is not labelled by its sorted names, so the
+    # comparison above can fail.
+    copy = _renamed(planes[-1], random.Random(3))
+    key, label = canonical_labeling(copy)
+    assert key == generic_mod._letter_labeling(planes[-1])[0]
+    assert label != generic_mod._letter_labeling(copy)[1]
+
+
 def test_builder_labellings_match_oracle(monkeypatch, nd10):
     # Every plane offered to _register, labelled on demand or never, and
-    # every plane the builder labels, which adds _tier_pairs' bases; the
-    # chain depends on which of the minimal labels comes back.
+    # every plane the builder labels; the chain depends on which of the
+    # minimal labels comes back.  The census bases of _tier_pairs are
+    # labelled in closed form, not here (see the test above).
     seen = {}  # id -> plane, held so no id is reused
     register = generic_mod._Builder._register
     labeling = generic_mod.canonical_labeling
@@ -172,6 +189,14 @@ def test_builder_labellings_match_oracle(monkeypatch, nd10):
     assert len(seen) > 500
     for plane in seen.values():
         assert canonical_labeling(plane) == oracle_canonical_labeling(plane), plane
+
+
+def test_canonical_key_beyond_the_recursion_limit_is_a_budget_error():
+    # One frame per searched label: the 1,100 points of one line are one
+    # searched class.
+    line = make_plane([f"p{i}" for i in range(1100)], [[f"p{i}" for i in range(1100)]])
+    with pytest.raises(BudgetExceeded, match=r"\b1100 searched labels\b"):
+        canonical_key(line)
 
 
 def test_least_encoding_matches_oracle_on_mixed_choices():

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -36,11 +37,12 @@ from planeforge import (
     morley_chain,
     non_desarguesian_plane,
     restrict,
+    validate,
     witness_non_desarguesian,
     witness_not_one_based,
     witness_weak_ei,
 )
-from planeforge.census import CENSUS_CAP, canonical_labeling
+from planeforge.census import CENSUS_CAP, EXTENSION_CAP, canonical_labeling
 from planeforge.generic import plane_label
 from planeforge.plane import Plane
 from planeforge.planefile import serialize_plane
@@ -235,6 +237,26 @@ def test_tiers_solve_no_flow(monkeypatch):
     assert solves == []
 
 
+def test_tier_steps_solve_no_min_cut(monkeypatch, nd10):
+    # A tier step adds at most ext_bound points, so its strength takes the
+    # slack test; only a seed's step of more than EXTENSION_CAP points, and
+    # the seed's in_K0 check, solve a min-cut.
+    enumerate_planes(CENSUS_CAP)
+    solves = []
+    min_delta = predim_mod._min_delta
+
+    def counted(*args, **kwargs):
+        solves.append(args)
+        return min_delta(*args, **kwargs)
+
+    monkeypatch.setattr(predim_mod, "_min_delta", counted)
+    build_generic(500, 2)
+    assert solves == []
+    build_generic(500, 2, seeds=[nd10])
+    assert len(nd10.points) > EXTENSION_CAP
+    assert len(solves) == 2
+
+
 def test_build_never_rechecks_a_stage(monkeypatch, nd10):
     # Each stage is a canonical amalgam, valid by proof: the build keeps its
     # stage as sets, never as a plane to check, and the replayed stages are
@@ -261,7 +283,8 @@ def test_build_never_rechecks_a_stage(monkeypatch, nd10):
 # A two-step build (the ten-point seed, then two free points) whose second
 # step is corrupted after the glue (amalgam._canonical_glue): each case adds
 # lines to those the step adds and drops.  fire must reject it with the
-# message given.
+# message given.  A case marked as on the seed step corrupts the first step
+# instead, whose ten new points take the min-cut, not the slack test.
 CORRUPTED_SUCCESSORS = """
 from dataclasses import replace
 
@@ -284,6 +307,14 @@ CASES = {  # name: (message, lines also added, lines also dropped)
         ),
         (),
     ),
+    # the seed with the line o c12 c13 c23 has delta -1, so the empty
+    # stage is not strong in it
+    "not-strong-on-the-seed-step": (
+        "stage not strong in successor",
+        (AXIS | {X["o"]},),
+        (),
+        True,
+    ),
     "line-on-three-old-points": (NOT_INDUCED, (AXIS,), ()),
     "two-lines-extend-an-old-line": (
         NOT_INDUCED,
@@ -296,10 +327,10 @@ CASES = {  # name: (message, lines also added, lines also dropped)
 REAL_GLUE = generic._canonical_glue
 
 
-def corrupting(added, dropped):
+def corrupting(added, dropped, seed_step=False):
     def glue(points, lines, b, shared, a_lines):
         step = REAL_GLUE(points, lines, b, shared, a_lines)
-        if not points:  # the first step: keep it
+        if bool(points) == seed_step:  # the step not corrupted: keep it
             return step
         return replace(
             step,
@@ -407,6 +438,66 @@ def test_strength_on_added_lines_matches_on_random_subplanes():
             assert local == is_strong(plane, subset), (plane, subset)
             verdicts[local] += 1
     assert min(verdicts[True], verdicts[False]) >= 50
+
+
+def _random_step(rng, m):
+    """A random valid step adding the new points n0 ... n(m-1) to a plane
+    with two old lines of 30-60 points: (old points, new plane, added lines).
+
+    Each long line may take up to two new points; n0 is on up to 150 added
+    lines through pairs of free old points, more than 128 in about one step
+    of six; a few short lines mix new and old points.  A candidate that
+    would put a pair on two lines is skipped.
+    """
+    k1, k2 = rng.randint(30, 60), rng.randint(30, 60)
+    old = [f"o{i}" for i in range(k1 + k2 + 300)]
+    new = [f"n{i}" for i in range(m)]
+    covered = set()  # the pairs on some line
+
+    def put(line, kept=frozenset()):
+        """Add ``line`` if its pairs outside ``kept`` are on no line yet."""
+        pairs = {frozenset(pq) for pq in combinations(line, 2)} - {
+            frozenset(pq) for pq in combinations(kept, 2)
+        }
+        if covered.isdisjoint(pairs):
+            covered.update(pairs)
+            return frozenset(line)
+        return None
+
+    long_lines = [put(old[:k1]), put(old[k1 - 1 : k1 - 1 + k2])]
+    free = old[k1 - 1 + k2 :]  # on no old line
+    lines = set(long_lines)
+    added = []
+    for line in long_lines:
+        grown = put(line | set(rng.sample(new, rng.randint(0, 2))), kept=line)
+        if grown is not None and grown != line:
+            lines.remove(line)
+            added.append(grown)
+    for i in range(rng.choice([0, 0, 1, 2, rng.randint(3, 20), rng.randint(129, 150)])):
+        added.append(put({new[0], free[2 * i], free[2 * i + 1]}))  # all fresh pairs
+    for _ in range(rng.randint(0, 4)):
+        pts = rng.sample(new, rng.randint(1, m)) + rng.sample(old, rng.randint(0, 2))
+        line = put(pts) if len(pts) >= 3 else None
+        if line is not None:
+            added.append(line)
+    plane = make_plane(old + new, [*lines, *added])
+    return frozenset(old), plane, tuple(added)
+
+
+@pytest.mark.parametrize("m", [EXTENSION_CAP, EXTENSION_CAP + 1])
+def test_slack_strength_matches_is_strong_at_its_edges(m):
+    # EXTENSION_CAP new points take the slack test, one more the min-cut.
+    # More than 128 added lines through one new point lose more than a
+    # packed byte field holds, so the slack must be checked line by line.
+    rng = random.Random(4000 + m)
+    verdicts = Counter()
+    for _ in range(60):
+        old, plane, added = _random_step(rng, m)
+        validate(plane)
+        local = generic_mod._strong_over(old, plane.points - old, added)
+        assert local == is_strong(plane, old), sorted(map(sorted, added))
+        verdicts[local] += 1
+    assert min(verdicts[True], verdicts[False]) >= 10, verdicts
 
 
 def test_registry_labels_lazily_and_keeps_the_first_copy_of_each_type(monkeypatch, nd10):
