@@ -23,17 +23,14 @@ be valid (a previous amalgam, say) costs nothing.  Its own output is then
 valid by proof rather than by a whole-plane check: the wedge check reads
 the same pass, and additivity is checked by an exact identity over the
 lines out gained from or took from the first plane, read off the step,
-never by a whole-plane delta.  The pass over the first plane is
-canonical_amalgam's own; the generic builder skips it, handing the glue
-the stage lines through C from an index it keeps, and applies the step to
-its stage in place (see _canonical_glue).  free_amalgam has no wedge
-precondition, so it validates its union whole.
+never by a whole-plane delta.  free_amalgam has no wedge precondition, so
+it validates its union whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Collection, Iterable
 
 from .embedding import embeddings
 from .errors import (
@@ -171,8 +168,8 @@ def free_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
     return AmalgamResult(out, "free", step.identified)
 
 
-def _nullity(lines: Iterable[frozenset[str]]) -> int:
-    return sum(len(line) - 2 for line in lines)
+def _nullity(lines: Collection[AbstractSet[str]]) -> int:
+    return sum(map(len, lines)) - 2 * len(lines)
 
 
 def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
@@ -200,13 +197,31 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
 
     The glue returns the step from a to the output as data (see _Step),
     and the output is a with that step applied; free_amalgam builds its
-    lines with the same _glue.  This entry finds the first plane's lines
-    meeting C twice by a pass over all its lines.  The generic builder
-    keeps its stage as mutable sets with an index and hands those lines to
-    the same glue itself (see _canonical_glue).
+    lines with the same _glue.
     """
     validate(a)
-    step = _canonical_glue(a.points, a.lines, b, shared, a.lines)
+    validate(b)
+    c, (based_a, wedge_a), (based_b, wedge_b) = _shared_traces(
+        a.points, a.lines, b, shared, "canonical_amalgam"
+    )
+    for name, wedge in (("first", wedge_a), ("second", wedge_b)):
+        if not wedge:
+            raise NotWedgeSubgeometry(
+                f"canonical_amalgam: shared part is not wedge-compatible "
+                f"in the {name} plane"
+            )
+    step = _glue(a.lines, b, c, based_a, based_b)
+    growth = (
+        len(step.added) - _nullity(step.added_lines) + _nullity(step.dropped_lines)
+    )
+    # delta(C) is |C| less the nullity of the traces of >= 3 points; a
+    # pair trace has nullity 0, so all of b's traces can be summed
+    if growth != delta(b) - (len(c) - _nullity(based_b)):
+        gained = delta(a) + delta(b) - delta(a, c)
+        raise PlaneError(
+            f"canonical amalgam broke predimension additivity: "
+            f"{delta(_successor(a, step))} != {gained}"
+        )
     return AmalgamResult(_successor(a, step), "canonical", step.identified)
 
 
@@ -221,17 +236,15 @@ class _Step:
     identified: frozenset[tuple[frozenset[str], frozenset[str]]]
 
 
-def _applied(plane: Plane, step) -> Plane:
-    """``plane`` with ``step`` applied.  A step is anything with the fields
-    added, added_lines and dropped_lines, as _Step and the generic
-    builder's step records."""
+def _applied(plane: Plane, step: _Step) -> Plane:
+    """``plane`` with ``step`` applied."""
     return Plane(
         plane.points | step.added,
         plane.lines.symmetric_difference([*step.added_lines, *step.dropped_lines]),
     )
 
 
-def _successor(plane: Plane, step) -> Plane:
+def _successor(plane: Plane, step: _Step) -> Plane:
     """``plane`` with ``step`` applied, marked valid: the output of the
     canonical glue that returned ``step``, valid by proof (see
     canonical_amalgam)."""
@@ -243,7 +256,7 @@ def _successor(plane: Plane, step) -> Plane:
 def _union(la: frozenset[str], lb: frozenset[str]) -> frozenset[str]:
     """la | lb, as the very operand that already holds the other, if one
     does: a line the glue leaves unchanged stays one object, which the
-    stages share and which compares by identity."""
+    output shares with its input and which compares by identity."""
     if lb <= la:
         return la
     if la <= lb:
@@ -282,48 +295,6 @@ def _glue(
         dropped_lines=tuple(line for line in based_a.values() if line not in glued),
         identified=frozenset(identified),
     )
-
-
-def _canonical_glue(
-    points: AbstractSet[str],
-    lines: AbstractSet[frozenset[str]],
-    b: Plane,
-    shared: Iterable[str],
-    a_lines: Iterable[frozenset[str]],
-) -> _Step:
-    """canonical_amalgam of a valid plane a, given as its ``points`` and
-    ``lines``, and ``b``, as the step from a to the amalgam.
-
-    ``b`` is validated here; a is the caller's to vouch for.  ``a_lines``
-    are lines of a that include every line meeting C at least twice.  Of a
-    only those lines are read, besides set lookups: the glue makes no pass
-    over ``points`` or ``lines``, so a caller can keep them as mutable sets
-    and apply the step in place.
-    """
-    validate(b)
-    c, (based_a, wedge_a), (based_b, wedge_b) = _shared_traces(
-        points, a_lines, b, shared, "canonical_amalgam"
-    )
-    for name, wedge in (("first", wedge_a), ("second", wedge_b)):
-        if not wedge:
-            raise NotWedgeSubgeometry(
-                f"canonical_amalgam: shared part is not wedge-compatible "
-                f"in the {name} plane"
-            )
-    step = _glue(lines, b, c, based_a, based_b)
-    growth = (
-        len(step.added) - _nullity(step.added_lines) + _nullity(step.dropped_lines)
-    )
-    # delta(C) is |C| less the nullity of the traces of >= 3 points; a
-    # pair trace has nullity 0, so all of b's traces can be summed
-    if growth != delta(b) - (len(c) - _nullity(based_b)):
-        a = Plane(frozenset(points), frozenset(lines))
-        gained = delta(a) + delta(b) - delta(a, c)
-        raise PlaneError(
-            f"canonical amalgam broke predimension additivity: "
-            f"{delta(_successor(a, step))} != {gained}"
-        )
-    return step
 
 
 def _smallest_step(plane: Plane, lo: frozenset[str], up: frozenset[str]) -> frozenset[str]:

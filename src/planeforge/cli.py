@@ -218,7 +218,7 @@ def _cmd_build(args) -> int:
                 stage,
             )
         log_lines = []
-        for rec in chain.steps:
+        for rec, step in zip(chain.steps, chain.changes()):
             base = ",".join(sorted(rec.base)) if rec.base else "-"
             added = ",".join(sorted(rec.added))
             ident = (
@@ -226,7 +226,7 @@ def _cmd_build(args) -> int:
                     f"{' '.join(sorted(la))}=={' '.join(sorted(lb))}"
                     for la, lb in sorted(
                         (tuple(sorted(x)), tuple(sorted(y)))
-                        for x, y in rec.identified
+                        for x, y in step.identified
                     )
                 )
                 or "-"

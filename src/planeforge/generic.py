@@ -13,28 +13,27 @@ time, each size enumerated once, and their strength over the base is
 decided from delta increments while they are generated, so the tiers solve
 no min-cut (see census._strong_line_sets); each census base's labelling is
 read off its letters.
-The builder keeps one stage, as mutable point and line sets with a point ->
-lines index, and no plane per step.  amalgam._canonical_glue reads only the
-stage lines through the base, which the index gives, and returns the step
-as data: its new points, the lines it added and dropped and the lines it
-identified.  The builder checks the step on that data and applies it in
-place, so a step costs time in its own size, not the stage's.  The checks
-are exact but local: the old stage's strength on the lines the successor
-added, which alone decide it, by the census's delta-slack test (a min-cut
-only for a step of more than EXTENSION_CAP points, such as a big seed);
-that the old stage is induced in the new one, from the lines the step
-changed (see _Builder.fire); and the amalgam by the glue's own checks.
+The builder keeps one stage as mutable sets, each line under an int id,
+with a point -> line ids index.  A step glues the renamed copy onto its
+base instance C in place (see step._glued): a copy line with the C-trace
+(of at least 2 points) of a stage line adds its new points to that line,
+and every other copy line is a new line.  So a step reads only the stage
+lines through C and writes only its own points.  Its checks are
+canonical_amalgam's and the builder's own, exact but local (see
+_Builder.fire): the old stage is strong in the new one, by the census's
+delta-slack test on the step's lines (a min-cut only for a step of more
+than EXTENSION_CAP points, such as a big seed), and induced in it.
 K0 is never solved per step: a plane with a strong, induced subplane in
 K0 is itself in K0 (see _Builder.fire), so every stage is in K0 by proof.
 No stage is validated either: only the small glued copy is checked in full.
-The chain keeps the final plane and the step records, whose added and
-dropped lines replay every stage from the empty plane on demand (see
-ExtensionChain), so a build's memory grows with its steps, not with the
-sum of its stages.  Glued copies are labelled on demand: a copy waits in a
-queue for its shape, its point count and sorted line sizes, which a
-canonical key fixes, until a base of that shape is asked for (see
-_Builder.instance); past the last tier only the shapes of the pushed-back
-pairs are kept.
+The chain keeps the final plane and the step records: each step's new
+points, new lines, and extended line ids with the points they gained, so
+the records hold each incidence of the final plane once.  One forward
+replay derives each step's lines and every stage (see ExtensionChain).
+Glued copies are labelled on demand: a copy waits in a queue for its
+shape, its point count and sorted line sizes, which a canonical key fixes,
+until a base of that shape is asked for (see _Builder.instance); past the
+last tier only the shapes of the pushed-back pairs are kept.
 check_genericity measures how much of that closure a finished stage
 actually exhibits.
 """
@@ -50,7 +49,7 @@ from math import comb
 from typing import AbstractSet
 
 from .amalgam import (
-    _canonical_glue,
+    _Step,
     _successor,
     canonical_amalgam,
     classify_primitive,
@@ -60,8 +59,6 @@ from .amalgam import (
 from .census import (
     CENSUS_CAP,
     EXTENSION_CAP,
-    _losses,
-    _slack,
     _strong_extensions_exactly,
     canonical_key,
     canonical_labeling,
@@ -79,6 +76,7 @@ from .errors import (
 )
 from .plane import Plane, _record_valid, line_through, make_plane, restrict, validate
 from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
+from .step import _glued, _strong_over
 
 ICL_SWEEP_CAP = 200_000
 
@@ -101,19 +99,21 @@ def plane_label(plane: Plane) -> str:
 class StepRecord:
     """One amalgamation step: which subset grew, by which class, into what.
 
-    ``added`` holds the step's new points, ``added_lines`` and
-    ``dropped_lines`` the lines the stage gained and lost: a stage is the
-    one before it with its step applied (see ExtensionChain.replay).
-    ``template_label``, the template's plane_label, is computed on each use.
+    ``added`` holds the step's new points, ``new_lines`` its new lines and
+    ``extended`` a (line id, gained points) pair per stage line that took a
+    copy line's new points, or none when it is only identified with a
+    shorter copy line; a line's id is its place among the chain's new
+    lines.  The lines each step added, dropped and identified come from a
+    replay (see ExtensionChain.changes).  ``template_label``, the
+    template's plane_label, is computed on each use.
     """
 
     index: int
     base: frozenset
     added: frozenset
     template: Plane
-    identified: frozenset
-    added_lines: tuple
-    dropped_lines: tuple
+    new_lines: tuple
+    extended: tuple
 
     @property
     def template_label(self) -> str:
@@ -125,11 +125,29 @@ class ExtensionChain:
     """The last stage of a build and the steps that led to it.
 
     The earlier stages are not kept, so a chain's size grows with its steps,
-    not with the sum of its stages; ``replay`` and ``stages`` rebuild them.
+    not with the sum of its stages; ``replay`` and ``stages`` rebuild them,
+    and ``changes`` gives the lines each step added, dropped and identified.
     """
 
     final: Plane
     steps: tuple
+
+    def changes(self) -> Iterator[_Step]:
+        """Each step's added and dropped lines and identified line pairs, in
+        one pass over the line ids: an extended line is identified with the
+        copy's line, its base trace with the gain, and grows by the gain."""
+        lines: list[frozenset] = []
+        for rec in self.steps:
+            added, dropped, identified = [*rec.new_lines], [], set()
+            for i, gain in rec.extended:
+                line = lines[i]
+                identified.add((line, (line & rec.base) | gain))
+                if gain:
+                    lines[i] = line | gain
+                    added.append(lines[i])
+                    dropped.append(line)
+            lines += rec.new_lines
+            yield _Step(rec.added, tuple(added), tuple(dropped), frozenset(identified))
 
     def replay(self) -> Iterator[Plane]:
         """The stages in order, from the empty plane to one equal to
@@ -138,8 +156,8 @@ class ExtensionChain:
         stage = make_plane(())
         _record_valid(stage)
         yield stage
-        for record in self.steps:
-            stage = _successor(stage, record)
+        for step in self.changes():
+            stage = _successor(stage, step)
             yield stage
 
     @cached_property
@@ -161,11 +179,16 @@ class _TypePair:
 class _Builder:
     def __init__(self, ext_bound: int):
         self.ext_bound = ext_bound
-        # the current stage, which each step changes in place
+        # the current stage, changed in place; a line's place is its id, and
+        # a line stays the copy's frozenset until it first gains points
         self.points: set[str] = set()
-        self.lines: set[frozenset[str]] = set()
-        # point -> lines of the current stage through it
-        self.through: dict[str, set[frozenset[str]]] = {}
+        self.lines: list[AbstractSet[str]] = []
+        # point -> ids of the stage lines through it
+        self.through: dict[str, set[int]] = {}
+        # instance points -> ids of the stage lines through two of them, and
+        # point -> the instances holding it, from each instance's first step
+        self.meeting: dict[frozenset, set[int]] = {}
+        self.watched: dict[str, list[frozenset]] = {}
         self.records: list[StepRecord] = []
         self.counter = 0
         # type key -> (instance points, map canonical-label -> stage point)
@@ -201,7 +224,7 @@ class _Builder:
         never share the key, so every key keeps the first offered copy that
         has it, as if each copy had been labelled when offered.
         """
-        queue = self.queued.get(_shape(*key), ())
+        queue = () if key in self.instances else self.queued.get(_shape(*key), ())
         while key not in self.instances and queue:
             copy = queue.popleft()
             copy_key, label = canonical_labeling(copy)
@@ -212,27 +235,33 @@ class _Builder:
                 )
         return self.instances.get(key)
 
+    def _meeting(self, c: frozenset) -> set[int]:
+        """The ids of the stage lines through two points of the instance
+        ``c``, from the index at its first step, then kept by fire: only a
+        new line through two old points can join them."""
+        if c not in self.meeting:
+            seen, self.meeting[c] = set(), set()
+            for p in c:
+                ids = self.through.get(p, ())
+                self.meeting[c] |= seen.intersection(ids)
+                seen.update(ids)
+                self.watched.setdefault(p, []).append(c)
+        return self.meeting[c]
+
     def fire(self, base_key, base_label: dict, template: Plane) -> None:
         inst_points, inst_map = self.instance(base_key)
-        sigma = {p: inst_map[i] for p, i in base_label.items()}
-        fresh = {}
-        for p in sorted(template.points.difference(sigma)):
+        rename = {p: inst_map[i] for p, i in base_label.items()}
+        for p in sorted(template.points.difference(rename)):
             self.counter += 1
-            fresh[p] = f"x{self.counter}"
-        rename = {**sigma, **fresh}
-        concrete = make_plane(
-            [rename[p] for p in template.points],
-            [[rename[p] for p in l] for l in template.lines],
+            rename[p] = f"x{self.counter}"
+        name = rename.__getitem__
+        concrete = Plane(
+            frozenset(map(name, template.points)),
+            frozenset([frozenset(map(name, l)) for l in template.lines]),
         )
-        old = self.points
-        # the stage lines through two base points: each point's lines met
-        # with those through the points before it
-        seen, meeting = set(), set()
-        for p in inst_points:
-            lines = self.through.get(p, ())
-            meeting |= seen.intersection(lines)
-            seen.update(lines)
-        step = _canonical_glue(old, self.lines, concrete, inst_points, meeting)
+        old, lines, through = self.points, self.lines, self.through
+        meeting = self._meeting(inst_points)  # kept up to date below
+        added, new_lines, extended = _glued(old, lines, meeting, concrete, inst_points)
         # The new stage is in K0 by proof.  delta is submodular, so for every
         # X inside it, delta(X) >= delta(X | S) - delta(S) + delta(X & S)
         # with S the old stage's points.  S is strong, so delta(X | S) >=
@@ -242,48 +271,43 @@ class _Builder:
         #
         # Strength is checked on the step's own lines.  For S <= X <= new,
         # delta(X) - delta(S) is |X - S| less, over each line, the nullity
-        # of its trace on X less that on S.  A kept line lies inside S, so
-        # it adds nothing, and only the added lines count: a delta-slack
-        # test, or a min-cut for a step of more than EXTENSION_CAP points
-        # (see _strong_over).  This needs no inducedness, so the two checks
-        # stay independent, but it needs the step's new points outside S,
-        # which is checked first: a stage point the step lists as new would
-        # be taken over by the copy, so the successor would drop it as a
-        # stage point, and the test would count it as new.
+        # of its trace on X less that on S, so only the new and extended
+        # lines count (see _strong_over).  This needs no inducedness, but it
+        # needs the new points outside S, which is checked first: else the
+        # successor would drop a stage point and the test count it as new.
         #
-        # Induced means the traces on S of the new lines, where three points
-        # or more, are the old lines; a kept line is its own trace, so the
-        # lines the step added must trace the lines it dropped, one for one:
-        # as many traces as dropped lines, no trace twice, the same set.
-        if not old.isdisjoint(step.added):
+        # Induced means the traces on S of the new stage's lines, where of
+        # three points or more, are the old lines, each once: an extended
+        # line gains only new points, once, and a new line has <= 2 old ones.
+        if not old.isdisjoint(added):
             raise PlaneError("builder invariant broken: successor drops stage points")
-        if not _strong_over(old, step.added, step.added_lines):
+        grown = [(i, gain) for i, gain in extended if gain]
+        if not _strong_over(old, added, new_lines, [(lines[i], g) for i, g in grown]):
             raise PlaneError("builder invariant broken: stage not strong in successor")
-        traces = [t for t in (line & old for line in step.added_lines) if len(t) >= 3]
-        distinct = set(traces)
-        if not len(step.dropped_lines) == len(traces) == len(distinct) or (
-            distinct != set(step.dropped_lines)
+        if (
+            len({i for i, _ in extended}) < len(extended)
+            or not all(gain <= added for _, gain in extended)
+            or any(len(line - added) > 2 for line in new_lines)
         ):
             raise PlaneError("builder invariant broken: stage not induced in successor")
-        self.points |= step.added
-        self.lines.difference_update(step.dropped_lines)
-        self.lines.update(step.added_lines)
-        for line in step.dropped_lines:
+        old |= added
+        for i, gain in grown:
+            if type(lines[i]) is frozenset:  # first gain: a set from now on
+                lines[i] = set(lines[i])
+            lines[i] |= gain
+            for p in gain:
+                through.setdefault(p, set()).add(i)
+        for line in new_lines:
             for p in line:
-                self.through[p].remove(line)
-        for line in step.added_lines:
-            for p in line:
-                self.through.setdefault(p, set()).add(line)
+                through.setdefault(p, set()).add(len(lines))
+            if len(ends := line - added) == 2:  # a new line through two old points
+                p, q = ends
+                for c in self.watched.get(p, ()):
+                    if q in c:
+                        self.meeting[c].add(len(lines))
+            lines.append(line)
         self.records.append(
-            StepRecord(
-                index=len(self.records),
-                base=inst_points,
-                added=step.added,
-                template=template,
-                identified=step.identified,
-                added_lines=step.added_lines,
-                dropped_lines=step.dropped_lines,
-            )
+            StepRecord(len(self.records), inst_points, added, template, new_lines, extended)
         )
         self._register(concrete)
 
@@ -292,28 +316,6 @@ def _shape(n: int, lines) -> tuple:
     """A plane's point count and sorted line sizes, from the count and its
     lines or from its canonical key, whose line tuples keep their sizes."""
     return n, tuple(sorted(map(len, lines)))
-
-
-def _strong_over(old: AbstractSet[str], new: frozenset, added: tuple) -> bool:
-    """Whether the points ``old`` of a stage are strong in its successor by
-    a step with the new points ``new`` and the added lines ``added``,
-    decided on the step's own lines (see _Builder.fire).  Every set above
-    old is old | Y, Y new, so this is the census's slack test with b a
-    line's points not new (see census._strong_line_sets), checked per line
-    so no packed field borrows.  A step of more than EXTENSION_CAP points
-    (a big seed) takes a min-cut on the plane G of its new points and added
-    lines: a set of G above old & G gains what its union with old gains."""
-    if len(new) > EXTENSION_CAP:
-        glue = Plane(new.union(*added), frozenset(added))
-        return is_strong(glue, glue.points & old)
-    bit = {p: 1 << i for i, p in enumerate(new)}
-    slack, guard = _slack(len(new))
-    for line in added:
-        on_new = sum(bit[p] for p in new & line)
-        slack -= _losses(on_new, min(len(line) - on_new.bit_count(), 2), len(new))
-        if slack & guard != guard:
-            return False
-    return True
 
 
 def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
@@ -359,8 +361,8 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
     the others.  ``seeds`` are extension templates over the empty set,
     processed first (one step each) — the fair sweep reaches every class
     eventually, seeding just front-loads chosen ones.  The chain keeps the
-    final stage and, per step, the concrete base, the added points, the
-    added and dropped lines and the line identifications, from which it
+    final stage and, per step, the concrete base, the new points, the new
+    lines and the extended lines' ids with their gains, from which it
     replays the stages on demand.  Seeds and glued copies are validated
     once; every stage is a canonical amalgam of valid planes, so no stage
     is ever validated.
@@ -408,7 +410,7 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
             if len(builder.records) >= steps:
                 break
 
-    final = Plane(frozenset(builder.points), frozenset(builder.lines))
+    final = Plane(frozenset(builder.points), frozenset(map(frozenset, builder.lines)))
     _record_valid(final)
     return ExtensionChain(final=final, steps=tuple(builder.records))
 

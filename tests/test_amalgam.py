@@ -565,15 +565,33 @@ def test_canonical_amalgam_reports_an_invalid_input_first():
     assert checked >= 50
 
 
-@pytest.mark.parametrize("steps, ext_bound", [(200, 2), (120, 3)])
-def test_builder_steps_match_whole_plane_oracle(nd10, steps, ext_bound):
+@pytest.mark.parametrize(
+    "steps, ext_bound, census_seeds",
+    [
+        pytest.param(200, 2, 0, id="200-2"),
+        pytest.param(120, 3, 0, id="120-3"),
+        pytest.param(500, 2, 3, id="500-2-census"),
+    ],
+)
+def test_builder_steps_match_whole_plane_oracle(nd10, steps, ext_bound, census_seeds):
     # Each replayed stage is its predecessor glued to the copy the step
-    # added, over the step's base, with the step's identifications.
-    chain = generic_mod.build_generic(steps, ext_bound, seeds=[nd10])
+    # added, over the step's base, with the step's identifications, and the
+    # lines each step added and dropped are the two stages' differences.
+    # The census seeds, planes of 3-5 points, go before the fixture.
+    rng = random.Random(census_seeds)
+    pool = [p for p in enumerate_planes(5) if len(p.points) >= 3]
+    seeds = [rng.choice(pool) for _ in range(census_seeds)] + [nd10]
+    chain = generic_mod.build_generic(steps, ext_bound, seeds=seeds)
     stages = list(chain.replay())
     assert len(stages) == steps + 1
-    for stage, successor, step in zip(stages, stages[1:], chain.steps):
-        copy = restrict(successor, step.base | step.added)
-        want = oracle_canonical_amalgam(stage, copy, step.base)
-        assert (successor, step.identified) == want, step.index
+    for stage, successor, rec, step in zip(stages, stages[1:], chain.steps, chain.changes()):
+        copy = restrict(successor, rec.base | rec.added)
+        want = oracle_canonical_amalgam(stage, copy, rec.base)
+        assert (successor, step.identified) == want, rec.index
+        assert sorted(step.added_lines, key=sorted) == sorted(
+            successor.lines - stage.lines, key=sorted
+        ), rec.index
+        assert sorted(step.dropped_lines, key=sorted) == sorted(
+            stage.lines - successor.lines, key=sorted
+        ), rec.index
     assert stages[-1] == chain.final

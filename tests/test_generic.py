@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import hashlib
 import inspect
 import pickle
@@ -16,6 +15,7 @@ import planeforge.amalgam as amalgam_mod
 import planeforge.generic as generic_mod
 import planeforge.plane as plane_mod
 import planeforge.predim as predim_mod
+import planeforge.step as step_mod
 from planeforge import (
     BudgetExceeded,
     InvalidPlaneError,
@@ -281,13 +281,11 @@ def test_build_never_rechecks_a_stage(monkeypatch, nd10):
 
 
 # A two-step build (the ten-point seed, then two free points) whose second
-# step is corrupted after the glue (amalgam._canonical_glue): each case adds
-# lines to those the step adds and drops.  fire must reject it with the
-# message given.  A case marked as on the seed step corrupts the first step
-# instead, whose ten new points take the min-cut, not the slack test.
+# step is corrupted after the glue (step._glued, as generic calls it): each
+# case adds new lines and (old line, gain) extensions to the step data.  fire
+# must reject it with the message given.  A case marked as on the seed step
+# corrupts the first step instead, whose ten new points take the min-cut.
 CORRUPTED_SUCCESSORS = """
-from dataclasses import replace
-
 from planeforge import PlaneError, build_generic, generic, make_plane
 from planeforge import non_desarguesian_plane
 
@@ -297,7 +295,7 @@ X = {p: f"x{i}" for i, p in enumerate(sorted(ND10.points), 1)}
 AXIS = frozenset(X[p] for p in ("c12", "c13", "c23"))  # on no old line
 OLD = frozenset(X[p] for p in ("a1", "a2", "c12"))  # an old line
 NOT_INDUCED = "stage not induced in successor"
-CASES = {  # name: (message, lines also added, lines also dropped)
+CASES = {  # name: (message, new lines also added, (old line, gain) also extended)
     # x11 on two new lines through old pairs: delta drops by one
     "not-strong": (
         "stage not strong in successor",
@@ -318,25 +316,22 @@ CASES = {  # name: (message, lines also added, lines also dropped)
     "line-on-three-old-points": (NOT_INDUCED, (AXIS,), ()),
     "two-lines-extend-an-old-line": (
         NOT_INDUCED,
-        (OLD | {"x11"}, OLD | {"x12"}),
-        (OLD,),
+        (),
+        ((OLD, {"x11"}), (OLD, {"x12"})),
     ),
-    "old-line-dropped": (NOT_INDUCED, (), (OLD,)),
+    "gains-an-old-point": (NOT_INDUCED, (), ((OLD, {X["o"]}),)),
 }
 
-REAL_GLUE = generic._canonical_glue
+REAL_GLUE = generic._glued
 
 
-def corrupting(added, dropped, seed_step=False):
-    def glue(points, lines, b, shared, a_lines):
-        step = REAL_GLUE(points, lines, b, shared, a_lines)
-        if bool(points) == seed_step:  # the step not corrupted: keep it
-            return step
-        return replace(
-            step,
-            added_lines=step.added_lines + added,
-            dropped_lines=step.dropped_lines + dropped,
-        )
+def corrupting(new_lines, extended, seed_step=False):
+    def glue(old, lines, meeting, copy, c):
+        added, new, grown = REAL_GLUE(old, lines, meeting, copy, c)
+        if bool(old) == seed_step:  # the step not corrupted: keep it
+            return added, new, grown
+        more = tuple((lines.index(line), frozenset(gain)) for line, gain in extended)
+        return added, new + new_lines, grown + more
 
     return glue
 
@@ -347,7 +342,7 @@ def build():
 
 if __name__ == "__main__":
     for name, (message, *corruption) in CASES.items():
-        generic._canonical_glue = corrupting(*corruption)
+        generic._glued = corrupting(*corruption)
         try:
             build()
         except PlaneError as exc:
@@ -361,9 +356,7 @@ exec(CORRUPTED_SUCCESSORS, _CORRUPTED)
 @pytest.mark.parametrize("case", sorted(_CORRUPTED["CASES"]))
 def test_fire_rejects_a_successor_not_strong_or_not_induced(monkeypatch, case):
     message, *corruption = _CORRUPTED["CASES"][case]
-    monkeypatch.setattr(
-        generic_mod, "_canonical_glue", _CORRUPTED["corrupting"](*corruption)
-    )
+    monkeypatch.setattr(generic_mod, "_glued", _CORRUPTED["corrupting"](*corruption))
     with pytest.raises(PlaneError, match=f"^builder invariant broken: {message}$"):
         _CORRUPTED["build"]()
 
@@ -389,13 +382,13 @@ def test_fire_rejects_a_successor_that_drops_stage_points(monkeypatch):
     # A free point, then two more; the second step lists x1, a stage point,
     # as new, so the copy would take it over.  x1 is on no line, so neither
     # the strength nor the inducedness check sees it.
-    glue = generic_mod._canonical_glue
+    glue = generic_mod._glued
 
-    def dropping(points, lines, b, shared, a_lines):
-        step = glue(points, lines, b, shared, a_lines)
-        return dataclasses.replace(step, added=step.added | frozenset(points))
+    def dropping(old, lines, meeting, copy, c):
+        added, new_lines, extended = glue(old, lines, meeting, copy, c)
+        return added | frozenset(old), new_lines, extended
 
-    monkeypatch.setattr(generic_mod, "_canonical_glue", dropping)
+    monkeypatch.setattr(generic_mod, "_glued", dropping)
     with pytest.raises(
         PlaneError, match="^builder invariant broken: successor drops stage points$"
     ):
@@ -405,19 +398,28 @@ def test_fire_rejects_a_successor_that_drops_stage_points(monkeypatch):
 @pytest.mark.parametrize(
     "steps, ext_bound, seeded", [(200, 2, True), (120, 3, False), (500, 2, True)]
 )
-def test_strength_on_the_steps_lines_matches_the_whole_stage(steps, ext_bound, seeded, nd10):
-    # Each stage in its successor, and the stage less the step's base, which
-    # is mostly not strong there.
+def test_strength_on_the_steps_lines_matches_the_whole_stage(
+    monkeypatch, steps, ext_bound, seeded, nd10
+):
+    # The builder's own verdict on each step, from its new lines and the
+    # old lines it extends, against each stage in its successor; and the
+    # stage less the step's base, which is mostly not strong there, from
+    # whole lines.
+    strong_over, builder = generic_mod._strong_over, []
+
+    def spied(*args):
+        builder.append(strong_over(*args))
+        return builder[-1]
+
+    monkeypatch.setattr(generic_mod, "_strong_over", spied)
     chain = build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
+    assert len(builder) == steps
     verdicts = Counter()
-    for old, new, step in zip(chain.stages, chain.stages[1:], chain.steps):
-        local = generic_mod._strong_over(old.points, step.added, step.added_lines)
+    for old, new, step, local in zip(chain.stages, chain.stages[1:], chain.steps, builder):
         assert local == is_strong(new, old.points), step.index
         verdicts[local] += 1
         sub = old.points - step.base
-        local = generic_mod._strong_over(
-            sub, new.points - sub, tuple(new.lines - restrict(new, sub).lines)
-        )
+        local = strong_over(sub, new.points - sub, tuple(new.lines - restrict(new, sub).lines))
         assert local == is_strong(new, sub), step.index
         verdicts[local] += 1
     assert verdicts[True] >= steps and verdicts[False] > 0
@@ -442,7 +444,8 @@ def test_strength_on_added_lines_matches_on_random_subplanes():
 
 def _random_step(rng, m):
     """A random valid step adding the new points n0 ... n(m-1) to a plane
-    with two old lines of 30-60 points: (old points, new plane, added lines).
+    with two old lines of 30-60 points: (old points, new plane, added lines,
+    (old line, gain) pairs for the long lines that gained new points).
 
     Each long line may take up to two new points; n0 is on up to 150 added
     lines through pairs of free old points, more than 128 in about one step
@@ -467,12 +470,13 @@ def _random_step(rng, m):
     long_lines = [put(old[:k1]), put(old[k1 - 1 : k1 - 1 + k2])]
     free = old[k1 - 1 + k2 :]  # on no old line
     lines = set(long_lines)
-    added = []
+    added, extended = [], []
     for line in long_lines:
         grown = put(line | set(rng.sample(new, rng.randint(0, 2))), kept=line)
         if grown is not None and grown != line:
             lines.remove(line)
             added.append(grown)
+            extended.append((line, grown - line))
     for i in range(rng.choice([0, 0, 1, 2, rng.randint(3, 20), rng.randint(129, 150)])):
         added.append(put({new[0], free[2 * i], free[2 * i + 1]}))  # all fresh pairs
     for _ in range(rng.randint(0, 4)):
@@ -481,7 +485,7 @@ def _random_step(rng, m):
         if line is not None:
             added.append(line)
     plane = make_plane(old + new, [*lines, *added])
-    return frozenset(old), plane, tuple(added)
+    return frozenset(old), plane, tuple(added), extended
 
 
 @pytest.mark.parametrize("m", [EXTENSION_CAP, EXTENSION_CAP + 1])
@@ -489,13 +493,19 @@ def test_slack_strength_matches_is_strong_at_its_edges(m):
     # EXTENSION_CAP new points take the slack test, one more the min-cut.
     # More than 128 added lines through one new point lose more than a
     # packed byte field holds, so the slack must be checked line by line.
+    # The long lines that gained new points count alike as whole added
+    # lines and as (old line, gain) pairs, as the builder passes them.
     rng = random.Random(4000 + m)
     verdicts = Counter()
     for _ in range(60):
-        old, plane, added = _random_step(rng, m)
+        old, plane, added, extended = _random_step(rng, m)
         validate(plane)
-        local = generic_mod._strong_over(old, plane.points - old, added)
+        new = plane.points - old
+        local = generic_mod._strong_over(old, new, added)
         assert local == is_strong(plane, old), sorted(map(sorted, added))
+        whole = {line | gain for line, gain in extended}
+        rest = tuple(line for line in added if line not in whole)
+        assert generic_mod._strong_over(old, new, rest, extended) == local
         verdicts[local] += 1
     assert min(verdicts[True], verdicts[False]) >= 10, verdicts
 
@@ -571,24 +581,79 @@ def test_seeded_build_labels_only_copies_of_the_asked_shape(monkeypatch, nd10):
 def test_index_fed_glue_matches_a_pass_over_the_stage(
     monkeypatch, steps, ext_bound, seeded, nd10
 ):
-    # The builder hands the glue the stage lines through the base from its
-    # own index; the lines meeting the base twice and the wedge verdict must
-    # be those of a pass over every stage line.
-    glue = generic_mod._canonical_glue
+    # The builder hands the glue the ids of the stage lines through the base
+    # from its own index; they, their traces and the wedge verdict must be
+    # those of a pass over every stage line.
+    glue = generic_mod._glued
     based = Counter()
 
-    def checked(points, lines, b, shared, a_lines):
-        c = frozenset(shared)
-        assert set(a_lines) <= lines
-        local = amalgam_mod._based_among(a_lines, c)
-        assert local == amalgam_mod._based_among(lines, c)
-        based[len(local[0])] += 1
-        return glue(points, lines, b, shared, a_lines)
+    def checked(old, lines, meeting, copy, c):
+        every = [frozenset(line) for line in lines]
+        assert meeting == {i for i, line in enumerate(every) if len(line & c) >= 2}
+        local = {c & lines[i]: i for i in meeting}
+        traces, wedge = amalgam_mod._based_among(every, c)
+        assert local.keys() == traces.keys()
+        assert step_mod._wedge(local, lines) == wedge
+        based[len(local)] += 1
+        return glue(old, lines, meeting, copy, c)
 
-    monkeypatch.setattr(generic_mod, "_canonical_glue", checked)
+    monkeypatch.setattr(generic_mod, "_glued", checked)
     build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
     assert sum(based.values()) == steps
     assert based[0] < steps and max(based) >= 3
+
+
+def test_pairwise_wedge_matches_the_pass_over_every_line():
+    # step._wedge walks only the pairs of lines meeting C twice whose traces on C
+    # are disjoint; on valid planes it must agree with the union pass.
+    rng = random.Random(47)
+    verdicts = Counter()
+    for _ in range(400):
+        points = [f"p{i}" for i in range(rng.randint(4, 12))]
+        lines = random_lines(rng, points, 16)
+        c = frozenset(rng.sample(points, rng.randint(2, len(points) - 1)))
+        based = {c & line: i for i, line in enumerate(lines) if len(c & line) >= 2}
+        local = step_mod._wedge(based, lines)
+        assert local == amalgam_mod._based_among(lines, c)[1], (lines, c)
+        verdicts[local] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def _lines_digest(chain) -> str:
+    h = hashlib.sha256()
+    for step in chain.changes():
+        h.update(
+            repr(
+                (
+                    sorted(map(sorted, step.added_lines)),
+                    sorted(map(sorted, step.dropped_lines)),
+                    sorted((sorted(x), sorted(y)) for x, y in step.identified),
+                )
+            ).encode()
+        )
+    return h.hexdigest()
+
+
+def test_step_lines_replay_as_pinned():
+    # Every step's added, dropped and identified lines, replayed from the
+    # records, as the builder stored them whole before the records kept
+    # line ids.
+    assert _lines_digest(build_generic(2000, 3)) == (
+        "2a6f28fc42a43507f161e788a2160e0c4d125b6258be6e181a85d6554833dd76"
+    )
+
+
+@pytest.mark.parametrize("steps, ext_bound, incidences", [(5000, 3, 19575), (1000, 2, 2438)])
+def test_records_hold_each_incidence_once(steps, ext_bound, incidences):
+    # A record holds its new lines and the points its extended lines gained:
+    # every incidence of the final plane once.  Kept as whole lines, the
+    # added, dropped and identified lines held 2,950,607 and 107,165.
+    chain = build_generic(steps, ext_bound)
+    held = sum(
+        sum(map(len, rec.new_lines)) + sum(len(gain) for _, gain in rec.extended)
+        for rec in chain.steps
+    )
+    assert held == sum(map(len, chain.final.lines)) == incidences
 
 
 HASH_SEEDED_BUILD = """
