@@ -93,13 +93,25 @@ def _record_valid(plane: Plane) -> None:
     plane.__dict__["_valid"] = True
 
 
+def _names_ok(points: frozenset[str]) -> bool:
+    """Whether every name is a str matching _NAME_RE and printable, in one
+    pass over the joined names.  Every whitespace character but the ASCII
+    space is unprintable, so printable text with no space and no "#" is
+    free of \\s; an empty name leaves no trace in the join."""
+    try:
+        joined = "".join(points)
+    except TypeError:  # a name that is not a str
+        return False
+    return joined.isprintable() and " " not in joined and "#" not in joined and "" not in points
+
+
 def _check_structure(plane: Plane) -> None:
     """The full structural check behind validate, run on every call."""
-    bad = [
-        p for p in plane.points
-        if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable())
-    ]
-    if bad:
+    if not _names_ok(plane.points):
+        bad = [
+            p for p in plane.points
+            if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable())
+        ]
         raise InvalidPlaneError(f"bad point name: {min(bad, key=repr)!r}")
     through: dict[str, list[frozenset[str]]] = {}
     broken = []

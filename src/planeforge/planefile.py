@@ -18,29 +18,32 @@ from __future__ import annotations
 import os
 
 from .errors import ParseError
-from .plane import Plane, make_plane
+from .plane import Plane
 
 
 def parse_plane(text: str) -> tuple[str, Plane]:
     """Parse one plane description; returns (name, plane).
 
-    Syntax errors raise ParseError with the offending line number.
-    Structural invariants (line sizes, exchange) are *not* checked here;
-    run plane.validate on the result for that.
+    Syntax errors raise ParseError with the offending line number.  The
+    parser checks what the directives say on their own: every point is
+    declared once, and every line names at least 3 declared points, none
+    twice, and is not given twice.  Point names and lines that share two
+    points are checked by plane.validate; run it on the result.
     """
     name: str | None = None
-    points: list[str] = []
-    seen_points: set[str] = set()
+    points: set[str] = set()
     lines: set[frozenset[str]] = set()
 
     # Only "\n" ends a line; str.splitlines would also break at U+2028,
     # U+0085 and \x1c-\x1e, even inside comments.  The "\r" of a CRLF file
     # is stripped with the other trailing whitespace.
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        args = raw.split()
+        if not args:
             continue
-        keyword, *args = stmt.split()
+        keyword = args.pop(0)
         if keyword == "plane":
             if name is not None:
                 raise ParseError("duplicate plane header", lineno)
@@ -53,21 +56,20 @@ def parse_plane(text: str) -> tuple[str, Plane]:
             if not args:
                 raise ParseError("empty points directive", lineno)
             for p in args:
-                if p in seen_points:
+                if p in points:
                     raise ParseError(f"point {p} declared twice", lineno)
-                seen_points.add(p)
-                points.append(p)
+                points.add(p)
         elif keyword == "line":
             if name is None:
                 raise ParseError("line before plane header", lineno)
-            if len(set(args)) != len(args):
+            line = frozenset(args)
+            if len(line) != len(args):
                 raise ParseError("repeated point on a line", lineno)
             if len(args) < 3:
                 raise ParseError("a line needs at least 3 points", lineno)
-            undeclared = [p for p in args if p not in seen_points]
-            if undeclared:
+            if not line <= points:
+                undeclared = [p for p in args if p not in points]
                 raise ParseError(f"undeclared points {undeclared}", lineno)
-            line = frozenset(args)
             if line in lines:
                 raise ParseError(f"line {' '.join(args)} declared twice", lineno)
             lines.add(line)
@@ -76,17 +78,25 @@ def parse_plane(text: str) -> tuple[str, Plane]:
 
     if name is None:
         raise ParseError("no plane header found")
-    return name, make_plane(points, lines)
+    return name, Plane(frozenset(points), frozenset(lines))
 
 
 def read_plane(path: str | os.PathLike[str]) -> tuple[str, Plane]:
+    """Read and parse a UTF-8 plane file.
+
+    A line of the file ends at "\\n", "\\r\\n" or a lone "\\r": the last two
+    become "\\n" before parsing, as in Python's universal newlines.
+    parse_plane itself breaks lines only at "\\n".
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot read {path}: not UTF-8 text") from exc
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_plane(text)
 
 

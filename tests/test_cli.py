@@ -75,6 +75,13 @@ def test_non_utf8_file_exit_two(tmp_path, capsys):
     assert err.startswith("parse error: cannot read")
 
 
+def test_directory_path_exit_two(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"parse error: cannot read {tmp_path}: Is a directory\n"
+
+
 @pytest.mark.parametrize("unbuffered", ["1", None])
 def test_closed_pipe_exits_quietly(unbuffered):
     # stdout buffered or not: the failed write surfaces in main either way

@@ -90,6 +90,39 @@ def test_validate_matches_pairwise_oracle():
     assert 100 <= raised <= 350
 
 
+# Names the one-pass check must reject exactly as the per-name rule does.
+HOSTILE_NAMES = ["", " a", "a b", "a\t", "a\n", "a\xa0", "a\u2028", "a#", "a\x01", 1, b"a"]
+
+
+@pytest.mark.parametrize("name", HOSTILE_NAMES, ids=repr)
+def test_hostile_name_matches_oracle(name):
+    plane = make_plane(["p", "q", "r", name], ["pqr"])
+    want = _outcome(oracle_validate, plane)
+    assert want == (InvalidPlaneError, f"bad point name: {name!r}")
+    assert _outcome(validate, plane) == want
+
+
+def test_several_hostile_names_name_the_least_by_repr():
+    rng = random.Random(23)
+    for _ in range(200):
+        names = rng.sample(HOSTILE_NAMES, rng.randint(2, 5))
+        plane = make_plane(["p", "q", "r", *names], ["pqr"])
+        want = _outcome(oracle_validate, plane)
+        assert want == (InvalidPlaneError, f"bad point name: {min(names, key=repr)!r}")
+        assert _outcome(validate, plane) == want
+
+
+def test_every_whitespace_character_breaks_a_name():
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    assert len(spaces) > 20
+    for c in spaces:
+        plane = make_plane(["a", f"b{c}c"])
+        assert _outcome(validate, plane) == _outcome(oracle_validate, plane) is not None
+    plane = make_plane(["\xe9", "\u0436", "\u221e", "\U0001d53d", "a-b_c.d"])
+    assert _outcome(validate, plane) is None
+    assert _outcome(oracle_validate, plane) is None
+
+
 def test_validate_remembers_only_success(monkeypatch):
     import planeforge.plane as plane_mod
 

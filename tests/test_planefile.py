@@ -67,6 +67,39 @@ def test_read_missing_file():
         read_plane(DATA / "does_not_exist.plane")
 
 
+# read_plane reads "\r\n" and a lone "\r" as "\n", as Python's universal
+# newlines do; parse_plane breaks lines only at "\n".
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b"plane x\rpoints a b c d\r# note\rline a b c\r",
+        b"plane x\r\npoints a b c d\r\n# note\r\nline a b c\r\n",
+        b"plane x\r\npoints a b c d\r\r\n# note\rline a b c\n\r",
+    ],
+    ids=["cr", "crlf", "mixed"],
+)
+def test_read_plane_line_endings(tmp_path, raw):
+    path = tmp_path / "t.plane"
+    path.write_bytes(raw)
+    assert read_plane(path) == ("x", make_plane("abcd", ["abc"]))
+    with open(path, encoding="utf-8") as fh:  # text mode, universal newlines
+        assert parse_plane(fh.read()) == read_plane(path)
+
+
+def test_parse_plane_does_not_break_at_lone_cr():
+    with pytest.raises(ParseError, match="^line 1: expected: plane <name>$"):
+        parse_plane("plane x\rpoints a b c\rline a b c\r")
+
+
+def test_read_plane_error_line_after_lone_cr(tmp_path):
+    path = tmp_path / "t.plane"
+    path.write_bytes(b"plane x\rpoints a b\r\r\nline a b z\r")
+    with pytest.raises(ParseError) as exc:
+        read_plane(path)
+    assert exc.value.lineno == 4
+    assert str(exc.value) == "line 4: undeclared points ['z']"
+
+
 def test_serialize_is_canonical(fig2):
     text = serialize_plane("fig2", fig2)
     assert text == "plane fig2\npoints a b c d e f\nline a d f\nline b e f\nline c d e\n"
