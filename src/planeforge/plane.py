@@ -8,15 +8,12 @@ line spans a trivial line of its own.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .errors import InvalidPlaneError, PreconditionError
-
-_NAME_RE = re.compile(r"^[^\s#]+$")
 
 
 @dataclass(frozen=True)
@@ -93,11 +90,12 @@ def _record_valid(plane: Plane) -> None:
     plane.__dict__["_valid"] = True
 
 
-def _names_ok(points: frozenset[str]) -> bool:
-    """Whether every name is a str matching _NAME_RE and printable, in one
-    pass over the joined names.  Every whitespace character but the ASCII
-    space is unprintable, so printable text with no space and no "#" is
-    free of \\s; an empty name leaves no trace in the join."""
+def _names_ok(points: Collection[str]) -> bool:
+    """Whether every name is a non-empty printable str with no space and no
+    "#", in one pass over the joined names.  Every whitespace character but
+    the ASCII space is unprintable, so such a name holds no whitespace at
+    all; an empty name leaves no trace in the join, so it is looked for
+    apart."""
     try:
         joined = "".join(points)
     except TypeError:  # a name that is not a str
@@ -108,10 +106,7 @@ def _names_ok(points: frozenset[str]) -> bool:
 def _check_structure(plane: Plane) -> None:
     """The full structural check behind validate, run on every call."""
     if not _names_ok(plane.points):
-        bad = [
-            p for p in plane.points
-            if not (isinstance(p, str) and _NAME_RE.match(p) and p.isprintable())
-        ]
+        bad = [p for p in plane.points if not _names_ok((p,))]
         raise InvalidPlaneError(f"bad point name: {min(bad, key=repr)!r}")
     through: dict[str, list[frozenset[str]]] = {}
     broken = []
