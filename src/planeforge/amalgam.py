@@ -8,23 +8,27 @@ private to their side: the free amalgam keeps them apart (and fails when
 two of them collide on a shared pair), the canonical amalgam glues them
 by their shared trace.
 
-One pass per side picks out the lines meeting C twice, by C-trace
-(_based_among), and the shared part is checked on those alone
-(_shared_traces): C must be the point intersection, and the traces of >= 3
-points, which are the lines of the plane C induces, must match.  Both
-amalgams and sharp_step check C this way, and both amalgams build their
-lines in one place (_glue), which merges the lines of each trace and
-returns the amalgam as a step from the first plane: the points and lines
-it adds and the lines it drops.
+The lines meeting C twice are picked out by C-trace (_based_among), and
+the shared part is checked on those traces alone (_shared_traces): C must
+be the point intersection, and the traces of >= 3 points, which are the
+lines of the plane C induces, must match.  Both amalgams and sharp_step
+check C this way.
+
+There is one canonical glue, _glued, run by canonical_amalgam and by the
+builder's step (generic._Builder.fire) alike.  It takes the first side as
+its points and its lines by id, reads only the lines of it meeting C
+twice, makes the shared-part, wedge and additivity checks, and returns the
+amalgam as step data: the new points, the new lines, and the first side's
+lines that take new points or are identified with a longer line (_step
+turns that into the lines added, dropped and identified).
 
 canonical_amalgam requires valid input planes and validates them first;
 validate remembers success on a plane, so a plane that is already known to
 be valid (a previous amalgam, say) costs nothing.  Its own output is then
 valid by proof rather than by a whole-plane check: the wedge check reads
-the same pass, and additivity is checked by an exact identity over the
-lines out gained from or took from the first plane, read off the step,
-never by a whole-plane delta.  free_amalgam has no wedge precondition, so
-it validates its union whole.
+the traces the shared-part check computed, and additivity is checked by an
+exact identity over the step's lines, never by a whole-plane delta.
+free_amalgam has no wedge precondition, so it validates its union whole.
 """
 
 from __future__ import annotations
@@ -85,57 +89,138 @@ class Decomposition:
         return len(self.chain) - 1
 
 
-_Traces = dict[frozenset[str], frozenset[str]]  # C-trace -> the line carrying it
+_Traces = dict[frozenset[str], AbstractSet[str]]  # C-trace -> the line carrying it
 
 
-def _based_among(
-    lines: Iterable[frozenset[str]], c: frozenset[str]
-) -> tuple[_Traces, bool]:
-    """The lines meeting C at least twice, by C-trace, and whether no point
-    outside C lies on two of them (wedge condition (b)).
+def _based_among(lines: Iterable[frozenset[str]], c: frozenset[str]) -> _Traces:
+    """The lines meeting C at least twice, by C-trace.
 
     ``lines`` must hold every line of the plane that meets C at least twice;
     any other line in it is skipped.  In a valid plane at most one line
     carries a given trace (two would share two points), so each trace names
     one line.
     """
-    based: _Traces = {}
-    seen: set[str] = set()
-    wedge = True
-    for line in lines:
-        trace = line & c
-        if len(trace) >= 2:
-            based[trace] = line
-            outside = line - c
-            if wedge and not seen.isdisjoint(outside):
-                wedge = False
-            seen |= outside
-    return based, wedge
+    return {trace: line for line in lines if len(trace := line & c) >= 2}
 
 
 def _shared_traces(
     points: AbstractSet[str],
-    lines: Iterable[frozenset[str]],
+    traces: Iterable[frozenset[str]],
     b: Plane,
-    shared: Iterable[str],
+    c: frozenset[str],
     op: str,
-) -> tuple[frozenset[str], tuple[_Traces, bool], tuple[_Traces, bool]]:
-    """C, with _based_among over C of a, given as its ``points`` and
-    ``lines``, and of b, once C is checked to be the point intersection
-    and to carry the same induced plane on both sides.
+) -> _Traces:
+    """_based_among over C of b, once C is checked to be the point
+    intersection of b and a first side with ``points`` and to carry the
+    same induced plane on both sides.
 
-    ``lines`` must hold every line of a meeting C at least twice.  The
-    induced plane on C has as its lines the C-traces of at least 3 points,
-    and those are exactly the keys of that size of each side's traces, so
-    the two sides agree on C when those keys do.
+    ``traces`` are the C-traces of the first side's lines meeting C at
+    least twice.  The induced plane on C has as its lines the C-traces of
+    at least 3 points, so the two sides agree on C when those traces do.
     """
-    c = frozenset(shared)
     if points & b.points != c:
         raise PreconditionError(f"{op}: shared part must equal the point intersection")
-    side_a, side_b = _based_among(lines, c), _based_among(b.lines, c)
-    if {t for t in side_a[0] if len(t) >= 3} != {t for t in side_b[0] if len(t) >= 3}:
+    based_b = _based_among(b.lines, c)
+    if {t for t in traces if len(t) >= 3} != {t for t in based_b if len(t) >= 3}:
         raise PreconditionError(f"{op}: the two planes disagree on the shared part")
-    return c, side_a, side_b
+    return based_b
+
+
+def _wedge(based: _Traces) -> bool:
+    """Wedge condition (b) on a plane's lines meeting C twice, ``based`` by
+    C-trace: no point outside C is on two.  Lines whose traces share a point
+    meet only there, so only pairs with disjoint traces are walked, each
+    the shorter line's length (set.isdisjoint)."""
+    pending = list(based.items())
+    while pending:
+        s, line = pending.pop()
+        for t, other in pending:
+            if s.isdisjoint(t) and not line.isdisjoint(other):
+                return False
+    return True
+
+
+def _nullity(lines: Collection[AbstractSet[str]]) -> int:
+    return sum(map(len, lines)) - 2 * len(lines)
+
+
+def _glued(old: AbstractSet[str], lines: list, meeting: set, b: Plane, c: frozenset):
+    """The canonical amalgam of a valid first side (points ``old``, lines by
+    id) and ``b`` over ``c`` as step data: the new points, the new lines,
+    and (id, gain) per first-side line whose C-trace a line of b has, gain
+    its new points, when some or the first-side line is longer.  Only the
+    first-side lines ``meeting`` C twice are read.  b is validated first,
+    then C, the wedge condition on each side and additivity are checked, in
+    that order; additivity is from counts (see canonical_amalgam)."""
+    validate(b)
+    based = {c & lines[i]: i for i in meeting}
+    based_b = _shared_traces(old, based, b, c, "canonical_amalgam")
+    sides = {"first": {t: lines[i] for t, i in based.items()}, "second": based_b}
+    for name, side in sides.items():
+        if not _wedge(side):
+            raise NotWedgeSubgeometry(
+                f"canonical_amalgam: shared part is not wedge-compatible "
+                f"in the {name} plane"
+            )
+    new_lines = list(b.lines.difference(based_b.values()))
+    extended = []
+    for trace, line in based_b.items():
+        i = based.get(trace)
+        if i is None:
+            new_lines.append(line)
+        elif (gain := line - c) or len(lines[i]) > len(line):
+            extended.append((i, gain))
+    added = b.points - c
+    growth = len(added) - _nullity(new_lines) - sum(len(gain) for _, gain in extended)
+    # delta(C) is |C| less the nullity of the traces of >= 3 points; a
+    # pair trace has nullity 0, so all of b's traces can be summed
+    gained = len(b.points) - _nullity(b.lines) - (len(c) - _nullity(based_b))
+    if growth != gained:
+        stage = len(old) - _nullity(lines)
+        raise PlaneError(
+            f"canonical amalgam broke predimension additivity: "
+            f"{stage + growth} != {stage + gained}"
+        )
+    return added, tuple(new_lines), tuple(extended)
+
+
+@dataclass(frozen=True)
+class _Step:
+    """An amalgam as a change to its first plane: the points and lines it
+    adds, the lines it drops and the line pairs it identifies."""
+
+    added: frozenset[str]
+    added_lines: tuple[frozenset[str], ...]
+    dropped_lines: tuple[frozenset[str], ...]
+    identified: frozenset[tuple[frozenset[str], frozenset[str]]]
+
+
+def _step(lines: list, base: frozenset, added, new_lines, extended) -> _Step:
+    """The step data of a glue over ``base`` (see _glued) as a change to the
+    first side, whose lines by id are ``lines``, grown in place.  An
+    extended line is identified with the glued line, its base trace with
+    the gain, and grows by the gain; the new lines take the next ids."""
+    grown, dropped, identified = [*new_lines], [], set()
+    for i, gain in extended:
+        line = lines[i]
+        identified.add((line, (line & base) | gain))
+        if gain:
+            lines[i] = line | gain
+            grown.append(lines[i])
+            dropped.append(line)
+    lines += new_lines
+    return _Step(added, tuple(grown), tuple(dropped), frozenset(identified))
+
+
+def _successor(plane: Plane, step: _Step) -> Plane:
+    """``plane`` with ``step`` applied, marked valid: the output of the
+    canonical glue, valid by proof (see canonical_amalgam)."""
+    out = Plane(
+        plane.points | step.added,
+        plane.lines.symmetric_difference([*step.added_lines, *step.dropped_lines]),
+    )
+    _record_valid(out)
+    return out
 
 
 def free_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
@@ -144,32 +229,33 @@ def free_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
     A broken input is reported by validate, not as a collision of the
     union.  When a shared pair carries a line on both sides, the two lines
     would collide; the least such pair, by its sorted points, is reported.
-    Otherwise the union's lines are the canonical glue's (see _glue), but
-    the union has no wedge precondition, so it is validated whole.
+    Otherwise the traces both sides share are the lines of C, and each
+    pair of lines carrying one merges into their union; the union has no
+    wedge precondition, so it is validated whole.
     """
     validate(a)
     validate(b)
-    c, (based_a, _), (based_b, _) = _shared_traces(
-        a.points, a.lines, b, shared, "free_amalgam"
-    )
-    pairs = [sorted(t) for t in based_a.keys() & based_b.keys() if len(t) == 2]
+    c = frozenset(shared)
+    based_a = _based_among(a.lines, c)
+    based_b = _shared_traces(a.points, based_a, b, c, "free_amalgam")
+    common = based_a.keys() & based_b.keys()
+    pairs = [sorted(t) for t in common if len(t) == 2]
     if pairs:
         trace = frozenset(min(pairs))
         raise ExchangeViolation(
             f"lines {sorted(based_a[trace])} and {sorted(based_b[trace])} both "
             f"extend the shared pair {sorted(trace)}"
         )
-    step = _glue(a.lines, b, c, based_a, based_b)
-    out = _applied(a, step)
+    identified = frozenset(
+        (based_a[t], based_b[t]) for t in common if based_a[t] != based_b[t]
+    )
+    lines = (a.lines | b.lines).difference(*identified)
+    out = Plane(a.points | b.points, lines.union(la | lb for la, lb in identified))
     try:
         validate(out)
     except InvalidPlaneError as exc:  # cross-class collision outside C
         raise ExchangeViolation(str(exc)) from exc
-    return AmalgamResult(out, "free", step.identified)
-
-
-def _nullity(lines: Collection[AbstractSet[str]]) -> int:
-    return sum(map(len, lines)) - 2 * len(lines)
+    return AmalgamResult(out, "free", identified)
 
 
 def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
@@ -185,116 +271,24 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
     a-lines that each meet C twice (or the same on the b side) — exactly
     what the wedge condition (b) rules out.  Wedge condition (a), distinct
     rank-2 flats of C spanning distinct flats of each side, and C being a
-    subgeometry of each side hold for any induced C, so one pass per side
-    over the lines meeting C twice decides the shared-part agreement
-    (_shared_traces), the wedge check and the line classes (_glue).
+    subgeometry of each side hold for any induced C, so the traces of each
+    side's lines meeting C twice decide the shared-part agreement
+    (_shared_traces), the wedge check (_wedge) and the glue.
 
     Additivity delta(out) = delta(a) + delta(b) - delta(C) is checked in the
     exact form delta(out) - delta(a) = delta(b) - delta(C), whose left side
-    is the point growth minus the nullity of the lines out gained from a
-    plus that of the lines it took from a; both line sets are read off the
-    step, never off a comparison of whole line sets.
+    is the point growth less the nullity of the new lines and the points
+    the extended lines gain; both sides are counts over the step's lines
+    and b's, never a whole-plane delta.
 
-    The glue returns the step from a to the output as data (see _Step),
-    and the output is a with that step applied; free_amalgam builds its
-    lines with the same _glue.
+    The glue is the builder's (_glued), with a's lines by id; its step data
+    is applied to a (see _step).
     """
     validate(a)
-    validate(b)
-    c, (based_a, wedge_a), (based_b, wedge_b) = _shared_traces(
-        a.points, a.lines, b, shared, "canonical_amalgam"
-    )
-    for name, wedge in (("first", wedge_a), ("second", wedge_b)):
-        if not wedge:
-            raise NotWedgeSubgeometry(
-                f"canonical_amalgam: shared part is not wedge-compatible "
-                f"in the {name} plane"
-            )
-    step = _glue(a.lines, b, c, based_a, based_b)
-    growth = (
-        len(step.added) - _nullity(step.added_lines) + _nullity(step.dropped_lines)
-    )
-    # delta(C) is |C| less the nullity of the traces of >= 3 points; a
-    # pair trace has nullity 0, so all of b's traces can be summed
-    if growth != delta(b) - (len(c) - _nullity(based_b)):
-        gained = delta(a) + delta(b) - delta(a, c)
-        raise PlaneError(
-            f"canonical amalgam broke predimension additivity: "
-            f"{delta(_successor(a, step))} != {gained}"
-        )
+    c, lines = frozenset(shared), list(a.lines)
+    meeting = {i for i, line in enumerate(lines) if len(line & c) >= 2}
+    step = _step(lines, c, *_glued(a.points, lines, meeting, b, c))
     return AmalgamResult(_successor(a, step), "canonical", step.identified)
-
-
-@dataclass(frozen=True)
-class _Step:
-    """An amalgam as a change to its first plane: the points and lines it
-    adds, the lines it drops and the line pairs it identifies."""
-
-    added: frozenset[str]
-    added_lines: tuple[frozenset[str], ...]
-    dropped_lines: tuple[frozenset[str], ...]
-    identified: frozenset[tuple[frozenset[str], frozenset[str]]]
-
-
-def _applied(plane: Plane, step: _Step) -> Plane:
-    """``plane`` with ``step`` applied."""
-    return Plane(
-        plane.points | step.added,
-        plane.lines.symmetric_difference([*step.added_lines, *step.dropped_lines]),
-    )
-
-
-def _successor(plane: Plane, step: _Step) -> Plane:
-    """``plane`` with ``step`` applied, marked valid: the output of the
-    canonical glue that returned ``step``, valid by proof (see
-    canonical_amalgam)."""
-    out = _applied(plane, step)
-    _record_valid(out)
-    return out
-
-
-def _union(la: frozenset[str], lb: frozenset[str]) -> frozenset[str]:
-    """la | lb, as the very operand that already holds the other, if one
-    does: a line the glue leaves unchanged stays one object, which the
-    output shares with its input and which compares by identity."""
-    if lb <= la:
-        return la
-    if la <= lb:
-        return lb
-    return la | lb
-
-
-def _glue(
-    lines: AbstractSet[frozenset[str]],
-    b: Plane,
-    c: frozenset[str],
-    based_a: _Traces,
-    based_b: _Traces,
-) -> _Step:
-    """The amalgam of a, with ``lines``, and b over C, as the step from a.
-
-    ``based_a`` and ``based_b`` are the two sides' lines meeting C twice,
-    by C-trace (see _based_among).  The lines of one trace merge into one
-    line, and a pair they differ on is identified; every other line stays
-    as it is.
-    """
-    merged: set[frozenset[str]] = set()
-    identified: set[tuple[frozenset[str], frozenset[str]]] = set()
-    for trace in based_a.keys() | based_b.keys():
-        la, lb = based_a.get(trace), based_b.get(trace)
-        merged.add(_union(la or trace, lb or trace))
-        if la and lb and la != lb:
-            identified.add((la, lb))
-    glued = merged | b.lines.difference(based_b.values())
-    # out keeps every line of a that meets C at most once, so it adds the
-    # glued lines a lacks and drops the lines of a meeting C twice that no
-    # glued line equals: out's lines are a's with those two sets toggled
-    return _Step(
-        added=b.points - c,
-        added_lines=tuple(line for line in glued if line not in lines),
-        dropped_lines=tuple(line for line in based_a.values() if line not in glued),
-        identified=frozenset(identified),
-    )
 
 
 def _smallest_step(plane: Plane, lo: frozenset[str], up: frozenset[str]) -> frozenset[str]:
@@ -378,9 +372,12 @@ def sharp_step(
     primitive over it.  Returns the free amalgam whenever it is valid and
     hereditarily nonnegative; otherwise a strong embedding of the first
     plane into the second over the shared part.  One of the two always
-    exists.
+    exists.  Both inputs are validated first, as the amalgams do.
     """
-    c = _shared_traces(a.points, a.lines, b, shared, "sharp_step")[0]
+    validate(a)
+    validate(b)
+    c = frozenset(shared)
+    _shared_traces(a.points, _based_among(a.lines, c), b, c, "sharp_step")
     if not is_strong(a, c):
         raise NotStrong("sharp_step: shared part must be strong in the first plane")
     if not is_primitive(a, c, a.points):

@@ -15,7 +15,8 @@ no min-cut (see census._strong_line_sets); each census base's labelling is
 read off its letters.
 The builder keeps one stage as mutable sets, each line under an int id,
 with a point -> line ids index.  A step glues the renamed copy onto its
-base instance C in place (see step._glued): a copy line with the C-trace
+base instance C in place with the canonical glue that canonical_amalgam
+runs too (see amalgam._glued): a copy line with the C-trace
 (of at least 2 points) of a stage line adds its new points to that line,
 and every other copy line is a new line.  So a step reads only the stage
 lines through C and writes only its own points.  Its checks are
@@ -49,6 +50,8 @@ from math import comb
 from typing import AbstractSet
 
 from .amalgam import (
+    _glued,
+    _step,
     _Step,
     _successor,
     canonical_amalgam,
@@ -76,7 +79,7 @@ from .errors import (
 )
 from .plane import Plane, _record_valid, line_through, make_plane, restrict, validate
 from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
-from .step import _glued, _strong_over
+from .step import _strong_over
 
 ICL_SWEEP_CAP = 200_000
 
@@ -134,20 +137,11 @@ class ExtensionChain:
 
     def changes(self) -> Iterator[_Step]:
         """Each step's added and dropped lines and identified line pairs, in
-        one pass over the line ids: an extended line is identified with the
-        copy's line, its base trace with the gain, and grows by the gain."""
+        one forward pass over the line ids, from the step data as
+        canonical_amalgam reads it (see amalgam._step)."""
         lines: list[frozenset] = []
         for rec in self.steps:
-            added, dropped, identified = [*rec.new_lines], [], set()
-            for i, gain in rec.extended:
-                line = lines[i]
-                identified.add((line, (line & rec.base) | gain))
-                if gain:
-                    lines[i] = line | gain
-                    added.append(lines[i])
-                    dropped.append(line)
-            lines += rec.new_lines
-            yield _Step(rec.added, tuple(added), tuple(dropped), frozenset(identified))
+            yield _step(lines, rec.base, rec.added, rec.new_lines, rec.extended)
 
     def replay(self) -> Iterator[Plane]:
         """The stages in order, from the empty plane to one equal to

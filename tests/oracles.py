@@ -223,9 +223,9 @@ def is_wedge_subgeometry(sub, sup) -> bool:
     on two such closures.  Induced subplanes satisfy (a) automatically;
     (b) fails exactly when an outside point sits on two sup-lines that
     each meet sub twice — the configuration that would make two merged
-    lines cross twice in an amalgam.  The library decides it for an
-    induced sub from one pass over the lines meeting it twice
-    (amalgam._based_among); this is the whole-plane statement.
+    lines cross twice in an amalgam.  The library decides (b) for an
+    induced sub on the lines meeting it twice, pair by pair
+    (amalgam._wedge); this is the whole-plane statement.
     """
     if not is_subgeometry(sub, sup):
         return False
@@ -239,6 +239,55 @@ def is_wedge_subgeometry(sub, sup) -> bool:
             return False
         seen |= outside
     return True
+
+
+def oracle_free_amalgam(a, b, shared):
+    """free_amalgam with every check run on whole planes.
+
+    Validates both inputs pairwise, checks the shared part by restricting
+    both sides, names the least shared pair, in sorted order, that a line
+    of each side passes through without a line of C on it, merges the two
+    lines through each line of C, and validates the union pairwise.
+    Returns (plane, identified_lines) or raises what free_amalgam raises.
+    """
+    from planeforge import ExchangeViolation, Plane, PreconditionError, restrict
+
+    oracle_validate(a)
+    oracle_validate(b)
+    c = frozenset(shared)
+    if a.points & b.points != c:
+        raise PreconditionError(
+            "free_amalgam: shared part must equal the point intersection"
+        )
+    core = restrict(a, c)
+    if core != restrict(b, c):
+        raise PreconditionError(
+            "free_amalgam: the two planes disagree on the shared part"
+        )
+    for pair in map(frozenset, combinations(sorted(c), 2)):
+        if any(pair <= line for line in core.lines):
+            continue
+        la = [line for line in a.lines if pair <= line]
+        lb = [line for line in b.lines if pair <= line]
+        if la and lb:
+            raise ExchangeViolation(
+                f"lines {sorted(la[0])} and {sorted(lb[0])} both "
+                f"extend the shared pair {sorted(pair)}"
+            )
+    lines, identified = set(a.lines | b.lines), set()
+    for shared_line in core.lines:
+        la = next(line for line in a.lines if shared_line <= line)
+        lb = next(line for line in b.lines if shared_line <= line)
+        if la != lb:
+            lines -= {la, lb}
+            lines.add(la | lb)
+            identified.add((la, lb))
+    out = Plane(a.points | b.points, frozenset(lines))
+    try:
+        oracle_validate(out)
+    except InvalidPlaneError as exc:
+        raise ExchangeViolation(str(exc)) from exc
+    return out, frozenset(identified)
 
 
 def oracle_canonical_amalgam(a, b, shared):

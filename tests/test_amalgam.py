@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -38,6 +39,7 @@ from .oracles import (
     is_wedge_subgeometry,
     oracle_canonical_amalgam,
     oracle_decompose,
+    oracle_free_amalgam,
 )
 
 
@@ -312,6 +314,39 @@ def test_sharp_step_guards(fano):
         sharp_step(ext, base, frozenset("pqrs"))
 
 
+_PQ_CLASH = "lines ['p', 'q', 'x'] and ['p', 'q', 'y'] share ['p', 'q']"
+
+
+@pytest.mark.parametrize(
+    "a, b, shared, message",
+    [
+        (make_plane("pqxy", ["pqx", "pqy"]), make_plane("pqz"), "pq", _PQ_CLASH),
+        (make_plane("pqz"), make_plane("pqxy", ["pqx", "pqy"]), "pq", _PQ_CLASH),
+        # unvalidated, reported as a disagreement on the shared part
+        (
+            make_plane("abcd", ["abc", "abd"]),
+            make_plane("abcde"),
+            "abcd",
+            "lines ['a', 'b', 'c'] and ['a', 'b', 'd'] share ['a', 'b']",
+        ),
+        # unvalidated, reported as C not strong in the first plane
+        (
+            make_plane("abcxy", ["abx", "aby", "cxy"]),
+            make_plane("abc"),
+            "abc",
+            "lines ['a', 'b', 'x'] and ['a', 'b', 'y'] share ['a', 'b']",
+        ),
+    ],
+    ids=["first", "second", "first-not-disagreement", "first-not-strength"],
+)
+def test_sharp_step_reports_a_broken_input(a, b, shared, message):
+    # As in both amalgams: a broken input is reported with validate's own
+    # message, before the shared part, strength or primitivity is looked at.
+    with pytest.raises(InvalidPlaneError) as info:
+        sharp_step(a, b, frozenset(shared))
+    assert str(info.value) == message
+
+
 def test_sharp_step_needs_c_strong_in_the_base():
     # C is 1-strong in b but not strong: delta(b) = 3 < delta(C) = 4.  The
     # free amalgam collides on c2 c3, and the one embedding, b0 -> a1, is not
@@ -358,12 +393,13 @@ def test_canonical_additivity_on_restrictions(fig2):
     assert delta(out.plane) == delta(fig2, a) + delta(fig2, b) - delta(fig2, shared)
 
 
-# One extra unit on every whole-plane delta breaks
+# One extra unit on the nullity of b's own line set (the only frozenset
+# the glue's additivity check counts) breaks
 # delta(out) = delta(a) + delta(b) - delta(a, C) in canonical_amalgam.
 BROKEN_ADDITIVITY = """
 from planeforge import PlaneError, amalgam, canonical_amalgam, make_plane
-real = amalgam.delta
-amalgam.delta = lambda plane, subset=None: real(plane, subset) + (subset is None)
+real = amalgam._nullity
+amalgam._nullity = lambda lines: real(lines) + (type(lines) is frozenset)
 try:
     canonical_amalgam(make_plane("pqx"), make_plane("pqy"), frozenset("pq"))
 except PlaneError as exc:
@@ -372,9 +408,9 @@ except PlaneError as exc:
 
 
 def test_broken_additivity_raises(monkeypatch):
-    real = amalgam.delta
+    real = amalgam._nullity
     monkeypatch.setattr(
-        amalgam, "delta", lambda plane, subset=None: real(plane, subset) + (subset is None)
+        amalgam, "_nullity", lambda lines: real(lines) + (type(lines) is frozenset)
     )
     with pytest.raises(PlaneError, match="additivity"):
         canonical_amalgam(make_plane("pqx"), make_plane("pqy"), frozenset("pq"))
@@ -521,7 +557,7 @@ def test_canonical_amalgam_matches_whole_plane_oracle():
         outcomes[key] = outcomes.get(key, 0) + 1
         for side in (a, b):  # the local wedge verdict on every valid side
             if c <= side.points and not _broken(side):
-                local = amalgam._based_among(side.lines, c)[1]
+                local = amalgam._wedge(amalgam._based_among(side.lines, c))
                 assert local == is_wedge_subgeometry(restrict(side, c), side)
     # every way through the checks is taken
     assert set(outcomes) == {
@@ -533,6 +569,29 @@ def test_canonical_amalgam_matches_whole_plane_oracle():
         "InvalidPlaneError",
     }
     assert min(outcomes.values()) >= 10, outcomes
+
+
+def test_free_amalgam_matches_whole_plane_oracle():
+    rng = random.Random(20261018)
+    outcomes = Counter()
+    for kind, a, b, c in _glue_cases(rng, 400):
+        want = _outcome(oracle_free_amalgam, a, b, c)
+        assert _outcome(free_amalgam, a, b, c) == want, (kind, a, b, c)
+        key = want[0].__name__ if isinstance(want[0], type) else "ok"
+        if key == "PreconditionError":
+            key += " " + want[1].split()[-2]
+        elif key == "ExchangeViolation":
+            key += " pair" if "shared pair" in want[1] else " union"
+        outcomes[key] += 1
+    # every way through the checks but a clash of the union is taken
+    for key in (
+        "ok",
+        "PreconditionError point",
+        "PreconditionError shared",
+        "InvalidPlaneError",
+        "ExchangeViolation pair",
+    ):
+        assert outcomes[key] >= 10, outcomes
 
 
 def _with_clash_anywhere(rng, plane):

@@ -15,7 +15,6 @@ import planeforge.amalgam as amalgam_mod
 import planeforge.generic as generic_mod
 import planeforge.plane as plane_mod
 import planeforge.predim as predim_mod
-import planeforge.step as step_mod
 from planeforge import (
     BudgetExceeded,
     InvalidPlaneError,
@@ -48,6 +47,7 @@ from planeforge.plane import Plane
 from planeforge.planefile import serialize_plane
 
 from .conftest import library_env, random_lines
+from .oracles import is_wedge_subgeometry
 from .test_predim import AG23
 
 
@@ -281,7 +281,7 @@ def test_build_never_rechecks_a_stage(monkeypatch, nd10):
 
 
 # A two-step build (the ten-point seed, then two free points) whose second
-# step is corrupted after the glue (step._glued, as generic calls it): each
+# step is corrupted after the glue (amalgam._glued, as generic calls it): each
 # case adds new lines and (old line, gain) extensions to the step data.  fire
 # must reject it with the message given.  A case marked as on the seed step
 # corrupts the first step instead, whose ten new points take the min-cut.
@@ -582,8 +582,8 @@ def test_index_fed_glue_matches_a_pass_over_the_stage(
     monkeypatch, steps, ext_bound, seeded, nd10
 ):
     # The builder hands the glue the ids of the stage lines through the base
-    # from its own index; they, their traces and the wedge verdict must be
-    # those of a pass over every stage line.
+    # from its own index; they and their traces must be those of a pass over
+    # every stage line, so the one wedge test reads the same lines.
     glue = generic_mod._glued
     based = Counter()
 
@@ -591,9 +591,7 @@ def test_index_fed_glue_matches_a_pass_over_the_stage(
         every = [frozenset(line) for line in lines]
         assert meeting == {i for i, line in enumerate(every) if len(line & c) >= 2}
         local = {c & lines[i]: i for i in meeting}
-        traces, wedge = amalgam_mod._based_among(every, c)
-        assert local.keys() == traces.keys()
-        assert step_mod._wedge(local, lines) == wedge
+        assert local.keys() == amalgam_mod._based_among(every, c).keys()
         based[len(local)] += 1
         return glue(old, lines, meeting, copy, c)
 
@@ -604,17 +602,18 @@ def test_index_fed_glue_matches_a_pass_over_the_stage(
 
 
 def test_pairwise_wedge_matches_the_pass_over_every_line():
-    # step._wedge walks only the pairs of lines meeting C twice whose traces on C
-    # are disjoint; on valid planes it must agree with the union pass.
+    # amalgam._wedge walks only the pairs of lines meeting C twice whose traces
+    # on C are disjoint; on valid planes it must agree with the whole-plane
+    # wedge test of the plane C induces.
     rng = random.Random(47)
     verdicts = Counter()
     for _ in range(400):
         points = [f"p{i}" for i in range(rng.randint(4, 12))]
         lines = random_lines(rng, points, 16)
         c = frozenset(rng.sample(points, rng.randint(2, len(points) - 1)))
-        based = {c & line: i for i, line in enumerate(lines) if len(c & line) >= 2}
-        local = step_mod._wedge(based, lines)
-        assert local == amalgam_mod._based_among(lines, c)[1], (lines, c)
+        local = amalgam_mod._wedge(amalgam_mod._based_among(lines, c))
+        plane = make_plane(points, lines)
+        assert local == is_wedge_subgeometry(restrict(plane, c), plane), (lines, c)
         verdicts[local] += 1
     assert min(verdicts.values()) >= 50, verdicts
 
