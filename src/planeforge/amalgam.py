@@ -198,8 +198,8 @@ class _Step:
 def _step(lines: list, base: frozenset, added, new_lines, extended) -> _Step:
     """The step data of a glue over ``base`` (see _glued) as a change to the
     first side, whose lines by id are ``lines``, grown in place.  An
-    extended line is identified with the glued line, its base trace with
-    the gain, and grows by the gain; the new lines take the next ids."""
+    extended line is identified with b's line, its base trace with the
+    gain, and grows by the gain; the new lines take the next ids."""
     grown, dropped, identified = [*new_lines], [], set()
     for i, gain in extended:
         line = lines[i]

@@ -317,27 +317,30 @@ def test_sharp_step_guards(fano):
 _PQ_CLASH = "lines ['p', 'q', 'x'] and ['p', 'q', 'y'] share ['p', 'q']"
 
 
+_AB_CLASH = "lines ['a', 'b', 'c'] and ['a', 'b', 'd'] share ['a', 'b']"
+_ABX_CLASH = "lines ['a', 'b', 'x'] and ['a', 'b', 'y'] share ['a', 'b']"
+
+
 @pytest.mark.parametrize(
     "a, b, shared, message",
     [
         (make_plane("pqxy", ["pqx", "pqy"]), make_plane("pqz"), "pq", _PQ_CLASH),
         (make_plane("pqz"), make_plane("pqxy", ["pqx", "pqy"]), "pq", _PQ_CLASH),
         # unvalidated, reported as a disagreement on the shared part
-        (
-            make_plane("abcd", ["abc", "abd"]),
-            make_plane("abcde"),
-            "abcd",
-            "lines ['a', 'b', 'c'] and ['a', 'b', 'd'] share ['a', 'b']",
-        ),
-        # unvalidated, reported as C not strong in the first plane
-        (
-            make_plane("abcxy", ["abx", "aby", "cxy"]),
-            make_plane("abc"),
-            "abc",
-            "lines ['a', 'b', 'x'] and ['a', 'b', 'y'] share ['a', 'b']",
-        ),
+        (make_plane("abcd", ["abc", "abd"]), make_plane("abcde"), "abcd", _AB_CLASH),
+        (make_plane("abcde"), make_plane("abcd", ["abc", "abd"]), "abcd", _AB_CLASH),
+        # unvalidated, reported as C not strong in the broken plane
+        (make_plane("abcxy", ["abx", "aby", "cxy"]), make_plane("abc"), "abc", _ABX_CLASH),
+        (make_plane("abcz"), make_plane("abcxy", ["abx", "aby", "cxy"]), "abc", _ABX_CLASH),
     ],
-    ids=["first", "second", "first-not-disagreement", "first-not-strength"],
+    ids=[
+        "first",
+        "second",
+        "first-not-disagreement",
+        "second-not-disagreement",
+        "first-not-strength",
+        "second-not-strength",
+    ],
 )
 def test_sharp_step_reports_a_broken_input(a, b, shared, message):
     # As in both amalgams: a broken input is reported with validate's own

@@ -591,7 +591,8 @@ def test_index_fed_glue_matches_a_pass_over_the_stage(
         every = [frozenset(line) for line in lines]
         assert meeting == {i for i, line in enumerate(every) if len(line & c) >= 2}
         local = {c & lines[i]: i for i in meeting}
-        assert local.keys() == amalgam_mod._based_among(every, c).keys()
+        traces = amalgam_mod._based_among(every, c)
+        assert {t: every[i] for t, i in local.items()} == traces
         based[len(local)] += 1
         return glue(old, lines, meeting, copy, c)
 

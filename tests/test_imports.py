@@ -1,8 +1,9 @@
-"""Every module of the package imports on its own in a fresh interpreter.
+"""Every module of the package imports in a fresh interpreter.
 
-A module imported first takes its own place in the import order, so an
-import cycle between two modules (amalgam and step, say) shows up here
-even when importing the package as a whole happens to work.
+A fresh interpreter holds no module that an earlier test imported, so an
+import cycle (between amalgam and step, say) or any other import-time
+failure of a module is reported here under that module's name, cli
+included, which the package itself does not import.
 """
 
 import subprocess
