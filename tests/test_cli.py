@@ -666,3 +666,63 @@ def test_help_width_follows_columns_set_later(monkeypatch, capsys):
     assert widths[120] != widths[40]
     assert "Predimension calculus on finite rank-3 planes." in widths[120]
     assert "Predimension calculus on finite rank-3 planes." not in widths[40]
+
+
+# --- the grammar's rendered text, pinned -------------------------------------
+#
+# sha256 prefixes of argparse's help and usage-error text at COLUMNS=80 on
+# Python 3.11; any change to a verb, option, help string or their order
+# shows here.
+
+HELP_SHA = {
+    None: "0a2a183368958b32",
+    "validate": "71d7568ccf790499",
+    "delta": "d5f2d0d35e15cd1b",
+    "alpha": "cfcfea3bf62927dc",
+    "icl": "394d09b11ad5c81c",
+    "strong": "19c0b25e5011baa2",
+    "report": "8129fb43b14d1e9f",
+    "amalgamate": "7014851ef0fd0e39",
+    "decompose": "3c0e198a7888ee45",
+    "embed": "c5e5cc57f3b469df",
+    "census": "950edfbb17dbcda2",
+    "build": "c5a78c7a49412f13",
+    "audit": "84db71d2cf4b8d79",
+    "witness": "48ffc0d437c13047",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("verb", list(HELP_SHA))
+def test_help_text_is_pinned(monkeypatch, capsys, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if verb is None else [verb, "--help"])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.err) == (0, "")
+    assert _sha(out.out) == HELP_SHA[verb], out.out
+
+
+@pytest.mark.parametrize(
+    "argv, sha",
+    [
+        ([], "770f363291b3a4c6"),
+        (["bogus"], "022afc7423c73f9a"),
+        (["strong", "F.plane"], "d097c5967f15fe44"),
+        (["strong", "F.plane", "--subset", "1", "-k", "x"], "b249a10bb9f87242"),
+        (["amalgamate", "A.plane", "B.plane", "--mode", "bogus"], "5b99c158d09edcc0"),
+        (["report", "F.plane", "extra"], "f4cd45cf8d8b92ac"),
+        (["delta", "F.plane", "--subset"], "d7a800a19e3ba113"),
+        (["census", "x"], "3b826477bbf64309"),
+    ],
+)
+def test_usage_error_text_is_pinned(monkeypatch, capsys, argv, sha):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert _sha(out.err) == sha, out.err
