@@ -276,11 +276,136 @@ def _cmd_witness(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the grammar: one verb table, read directly for canonical calls, and by
+# argparse for help, errors and every other form
+
+# verb -> (handler, help, arguments).  Each argument is keyed by its names,
+# a positional's dest or an option's flags separated by spaces, and holds
+# the add_argument keywords argparse gets for it: type, choices, default,
+# required, action (only "store_true") and help.
+_VERBS = {
+    "validate": (_cmd_validate, "check a plane file's structure", {"plane": {}}),
+    "delta": (
+        _cmd_delta, "predimension of the plane or a subset",
+        {"plane": {}, "--subset": {}},
+    ),
+    "alpha": (
+        _cmd_alpha, "Mason alpha of the plane or a subset",
+        {"plane": {}, "--subset": {}},
+    ),
+    "icl": (
+        _cmd_icl, "intrinsic closure of a subset",
+        {"plane": {}, "--subset": {"required": True}, "--within": {}},
+    ),
+    "strong": (
+        _cmd_strong, "is the subset strong (or k-strong)",
+        {"plane": {}, "--subset": {"required": True}, "--within": {}, "-k --k": {"type": int}},
+    ),
+    "report": (_cmd_report, "delta, alpha and K0 membership at once", {"plane": {}}),
+    "amalgamate": (
+        _cmd_amalgamate, "free or canonical amalgam of two planes",
+        {
+            "plane_a": {},
+            "plane_b": {},
+            "--mode": {"choices": ("free", "canonical"), "default": "free"},
+            "--over": {"help": "shared point set C (default: point intersection)"},
+            "--output": {},
+        },
+    ),
+    "decompose": (
+        _cmd_decompose, "split a strong pair into primitive steps",
+        {"plane": {}, "--lower": {"required": True}, "--upper": {}},
+    ),
+    "embed": (
+        _cmd_embed, "find an induced embedding of one plane in another",
+        {"sub": {}, "sup": {}},
+    ),
+    "census": (
+        _cmd_census, "all planes up to isomorphism with <= N points",
+        {"size": {"type": int}, "--output": {}},
+    ),
+    "build": (
+        _cmd_build, "grow a generic approximation",
+        {
+            "--steps": {"type": int, "required": True},
+            "--ext-bound": {"type": int, "required": True},
+            "--seed-fixtures": {"action": "store_true"},
+            "--output": {},
+        },
+    ),
+    "audit": (
+        _cmd_audit, "genericity audit of a plane",
+        {
+            "plane": {},
+            "--radius": {"type": int, "required": True},
+            "--per-subset": {"action": "store_true"},
+        },
+    ),
+    "witness": (_cmd_witness, "emit a named witness bundle", {"name": {}, "--output": {}}),
+}
+
+
+def _read(argv: list) -> argparse.Namespace | None:
+    """The namespace argparse gives a canonical call, or None for any other.
+
+    A call is canonical when the verb comes first, each option is given at
+    most once by one of its own flags, with its value as the next argument
+    and not starting with "-" (store-true flags bare), and exactly the
+    verb's positionals come among them.  Values are converted by the same
+    type and checked against the same choices as argparse does.  Help, every
+    error, abbreviated flags, ``--opt=value``, values starting with "-" and
+    repeated options are left to argparse, so their text is its own.
+    """
+    if not argv or argv[0] not in _VERBS:
+        return None
+    fn, _, arguments = _VERBS[argv[0]]
+    args = argparse.Namespace(verb=argv[0], fn=fn)
+    wanted, flags, required = [], {}, set()
+    for names, kw in arguments.items():
+        if names[0] != "-":
+            wanted.append((names, kw))
+            continue
+        names = names.split()
+        dest = next((n for n in names if n[:2] == "--"), names[0]).lstrip("-").replace("-", "_")
+        flags.update(dict.fromkeys(names, (dest, kw)))
+        store_true = kw.get("action") == "store_true"
+        setattr(args, dest, kw.get("default", False if store_true else None))
+        if kw.get("required"):
+            required.add(dest)
+    given, values, positionals = iter(argv[1:]), {}, []
+    for text in given:
+        if text[:1] != "-":
+            positionals.append(text)
+            continue
+        if text not in flags or flags[text][0] in values:
+            return None
+        dest, kw = flags[text]
+        if kw.get("action") == "store_true":
+            values[dest] = (kw, True)
+            continue
+        value = next(given, "-")
+        if value[:1] == "-":
+            return None
+        values[dest] = (kw, value)
+    if len(positionals) != len(wanted) or not required <= values.keys():
+        return None
+    values.update((dest, (kw, text)) for (dest, kw), text in zip(wanted, positionals))
+    for dest, (kw, value) in values.items():
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        setattr(args, dest, value)
+    return args
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The verb parser, built on the first call and shared after it.
+    """argparse's parser for the verb table, built by the first call that
+    is not canonical (see `_read`) and shared after it.
 
     argparse keeps no state between parses: each parse_args makes a fresh
     Namespace, and output streams and the help width are looked up when
@@ -292,85 +417,19 @@ def _parser() -> argparse.ArgumentParser:
         epilog="Set PLANEFORGE_BUDGET to raise the exhaustive-search guard.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="check a plane file's structure")
-    p.add_argument("plane")
-    p.set_defaults(fn=_cmd_validate)
-
-    p = sub.add_parser("delta", help="predimension of the plane or a subset")
-    p.add_argument("plane")
-    p.add_argument("--subset")
-    p.set_defaults(fn=_cmd_delta)
-
-    p = sub.add_parser("alpha", help="Mason alpha of the plane or a subset")
-    p.add_argument("plane")
-    p.add_argument("--subset")
-    p.set_defaults(fn=_cmd_alpha)
-
-    p = sub.add_parser("icl", help="intrinsic closure of a subset")
-    p.add_argument("plane")
-    p.add_argument("--subset", required=True)
-    p.add_argument("--within")
-    p.set_defaults(fn=_cmd_icl)
-
-    p = sub.add_parser("strong", help="is the subset strong (or k-strong)")
-    p.add_argument("plane")
-    p.add_argument("--subset", required=True)
-    p.add_argument("--within")
-    p.add_argument("-k", "--k", type=int, default=None)
-    p.set_defaults(fn=_cmd_strong)
-
-    p = sub.add_parser("report", help="delta, alpha and K0 membership at once")
-    p.add_argument("plane")
-    p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("amalgamate", help="free or canonical amalgam of two planes")
-    p.add_argument("plane_a")
-    p.add_argument("plane_b")
-    p.add_argument("--mode", choices=("free", "canonical"), default="free")
-    p.add_argument("--over", help="shared point set C (default: point intersection)")
-    p.add_argument("--output")
-    p.set_defaults(fn=_cmd_amalgamate)
-
-    p = sub.add_parser("decompose", help="split a strong pair into primitive steps")
-    p.add_argument("plane")
-    p.add_argument("--lower", required=True)
-    p.add_argument("--upper")
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = sub.add_parser("embed", help="find an induced embedding of one plane in another")
-    p.add_argument("sub")
-    p.add_argument("sup")
-    p.set_defaults(fn=_cmd_embed)
-
-    p = sub.add_parser("census", help="all planes up to isomorphism with <= N points")
-    p.add_argument("size", type=int)
-    p.add_argument("--output")
-    p.set_defaults(fn=_cmd_census)
-
-    p = sub.add_parser("build", help="grow a generic approximation")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--ext-bound", type=int, required=True)
-    p.add_argument("--seed-fixtures", action="store_true")
-    p.add_argument("--output")
-    p.set_defaults(fn=_cmd_build)
-
-    p = sub.add_parser("audit", help="genericity audit of a plane")
-    p.add_argument("plane")
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--per-subset", action="store_true")
-    p.set_defaults(fn=_cmd_audit)
-
-    p = sub.add_parser("witness", help="emit a named witness bundle")
-    p.add_argument("name")
-    p.add_argument("--output")
-    p.set_defaults(fn=_cmd_witness)
-
+    for verb, (fn, help_text, arguments) in _VERBS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for names, kw in arguments.items():
+            p.add_argument(*names.split(), **kw)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe must surface here, not at shutdown

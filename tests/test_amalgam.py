@@ -3,6 +3,7 @@ import subprocess
 import sys
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -461,7 +462,7 @@ def _agreeing_sides(rng):
     pb = c + [f"b{i}" for i in range(rng.randint(0, 4))]
     a = make_plane(pa, random_lines(rng, pa, 3 * len(pa)))
     own = pb[len(c):]
-    lines = [set(t) for t in restrict(a, c).lines]
+    lines = [set(t) for t in sorted(restrict(a, c).lines, key=sorted)]
     taken = {frozenset((p, q)) for t in lines for p in t for q in t if p != q}
     for line in lines:
         for x in rng.sample(own, min(len(own), rng.randint(0, 2))):
@@ -482,7 +483,7 @@ def _clash_away_from_glue(rng, plane, c):
     """plane plus a line on three points outside C that shares two points
     with one line meeting C at most once and at most one with every line
     meeting C twice, or None when plane has no room for one."""
-    loose = [l for l in plane.lines if len(l & c) <= 1 and len(l - c) >= 2]
+    loose = [l for l in sorted(plane.lines, key=sorted) if len(l & c) <= 1 and len(l - c) >= 2]
     based = [l for l in plane.lines if len(l & c) >= 2]
     for _ in range(20):
         if not loose:
@@ -595,6 +596,34 @@ def test_free_amalgam_matches_whole_plane_oracle():
         "ExchangeViolation pair",
     ):
         assert outcomes[key] >= 10, outcomes
+
+
+_GLUE_CASE_DIGEST = """
+import hashlib, random
+from planeforge import canonical_amalgam, free_amalgam
+from tests.test_amalgam import _glue_cases, _outcome
+cases = _glue_cases(random.Random(20261018), 400)
+text = repr([(k, sorted(map(sorted, a.lines)), sorted(map(sorted, b.lines)), sorted(c))
+             for k, a, b, c in cases])
+ok = [sum(not isinstance(_outcome(f, a, b, c)[0], type) for _, a, b, c in cases)
+      for f in (free_amalgam, canonical_amalgam)]
+print(hashlib.sha256(text.encode()).hexdigest(), ok)
+"""
+
+
+def test_glue_cases_do_not_depend_on_the_hash_seed():
+    # The cases draw lines in sorted order, never in set order, so the
+    # oracle tests above see one case list under every hash seed.
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _GLUE_CASE_DIGEST],
+            capture_output=True, text=True, timeout=120,
+            cwd=Path(__file__).parent.parent, env={**library_env(), "PYTHONHASHSEED": seed},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def _with_clash_anywhere(rng, plane):

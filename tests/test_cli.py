@@ -1,9 +1,15 @@
+import contextlib
 import hashlib
+import io
+import itertools
+import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planeforge import ExtensionChain, parse_plane, read_plane
 from planeforge import cli
@@ -595,8 +601,44 @@ def test_witness_unwritable_output_prints_nothing(tmp_path, capsys):
 # --- one parser, many calls -------------------------------------------------
 
 
+_COUNT_BUILDS = """
+import contextlib, io, json, sys
+from planeforge import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+info = cli._parser.cache_info()
+print(json.dumps([codes, info.misses, info.currsize]))
+"""
+
+
+def _builds(*calls) -> tuple:
+    """Exit codes of main over calls in a fresh interpreter, then how many
+    times the argparse parser was built and how many are cached."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_BUILDS, json.dumps(calls)],
+        capture_output=True, text=True, env=library_env(), timeout=60,
+    )
+    assert proc.stderr == ""
+    return tuple(json.loads(proc.stdout))
+
+
+def test_canonical_calls_build_no_parser():
+    # canonical calls are read from the verb table, with no argparse parser
+    assert _builds(["report", ND10], ["icl", FANO, "--subset", "1 2"]) == ([0, 0], 0, 0)
+
+
 def test_parser_is_built_once():
-    assert cli._parser() is cli._parser()
+    # the first call that needs the parser builds it; later calls reuse it
+    assert _builds(["--help"]) == ([0], 1, 1)
+    assert _builds(["strong", FANO]) == ([2], 1, 1)
+    assert _builds(
+        ["--help"], ["strong", FANO], ["icl", FANO, "--subset=1 2"], ["report", ND10]
+    ) == ([0, 2, 0, 0], 1, 1)
 
 
 def test_repeated_calls_keep_no_options(tmp_path, capsys):
@@ -726,3 +768,155 @@ def test_usage_error_text_is_pinned(monkeypatch, capsys, argv, sha):
     out = capsys.readouterr()
     assert (exc.value.code, out.out) == (2, "")
     assert _sha(out.err) == sha, out.err
+
+
+# --- the direct reader against argparse ---------------------------------------
+
+
+def _argparse(argv) -> dict:
+    """vars() of argparse's namespace for argv, which it must accept."""
+    text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+            return vars(cli._parser().parse_args(argv))
+    except SystemExit:
+        pytest.fail(f"the reader accepted {argv!r}, which argparse refuses: {text.getvalue()}")
+
+
+def _read_like_argparse(argv) -> None:
+    args = cli._read(argv)
+    assert args is not None, argv
+    assert vars(args) == _argparse(argv)
+
+
+_FLAGS = sorted(
+    {
+        flag
+        for _, _, arguments in cli._VERBS.values()
+        for names in arguments
+        if names[0] == "-"
+        for flag in names.split()
+    }
+    | {"-h", "--help"}
+)
+_PLAIN = st.sampled_from(["F.plane", "1", "1 2", "", "3", "free", "canonical"])
+_VALUES = st.one_of(
+    _PLAIN,
+    _PLAIN,
+    st.sampled_from([" 3", "1_0", "\u0663", "x", "bogus", "report", "-1", "-x", "-", "--"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """Calls near the grammar: the verb, its positionals and some of its
+    options, each by a full flag (bare for a store-true option), with plain
+    values; or, half the time, one positional more or less, maybe another
+    flag, options abbreviated, as ``--opt=value`` or bare, and any values.
+    Arguments come in any order, repeats allowed."""
+    verb = draw(st.sampled_from([*cli._VERBS, "bogus", "--help"]))
+    arguments = cli._VERBS[verb][2] if verb in cli._VERBS else {}
+    odd = draw(st.booleans())
+    values = _VALUES if odd else _PLAIN
+    count = sum(names[0] != "-" for names in arguments)
+    count += draw(st.sampled_from([0, -1, 1])) if odd else 0
+    pieces = [[draw(values)] for _ in range(max(count, 0))]
+    options = [
+        (draw(st.sampled_from(names.split())), "action" in kw)
+        for names, kw in arguments.items()
+        if names[0] == "-" and draw(st.booleans())
+    ]
+    if odd:
+        options += [(flag, False) for flag in draw(st.lists(st.sampled_from(_FLAGS), max_size=1))]
+    for flag, bare in options:
+        form = draw(st.sampled_from(["full", "abbreviated", "equals", "bare"])) if odd else "full"
+        if form == "abbreviated" and flag[:2] == "--":
+            flag = flag[: draw(st.integers(3, len(flag)))]
+        value = draw(values)
+        pieces.append(
+            [f"{flag}={value}"] if form == "equals"
+            else [flag] if form == "bare" or bare
+            else [flag, value]
+        )
+    return [verb, *itertools.chain.from_iterable(draw(st.permutations(pieces)))]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argvs())
+def test_direct_reader_matches_argparse(argv):
+    args = cli._read(argv)
+    if args is not None:
+        assert vars(args) == _argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "F", "--help"],
+        ["icl", "F", "--sub", "1"],
+        ["icl", "F", "--subset=1"],
+        ["delta", "F", "--subset", "-1"],
+        ["census", "-3"],
+        ["strong", "F", "--subset", "1", "-k", "1", "--k", "2"],
+        ["amalgamate", "A", "B", "--mode", "bogus", "--mode", "free"],
+        ["build", "--steps", "1", "--ext-bound", "2", "--seed-fixtures", "--seed-fixtures"],
+    ],
+)
+def test_other_forms_are_left_to_argparse(argv):
+    # help, abbreviations, --opt=value, values starting with "-" and
+    # repeats: argparse reads them (the repeated --mode is its error)
+    assert cli._read(argv) is None
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+def test_every_verb_has_a_canonical_form(verb):
+    # the verb with its required options only, then with every option,
+    # typed values where a type is given and the last choice where choices are
+    _, _, arguments = cli._VERBS[verb]
+    minimal, full = [verb], [verb]
+    for names, kw in arguments.items():
+        value = "3" if "type" in kw else kw["choices"][-1] if "choices" in kw else "a b"
+        if names[0] != "-":
+            minimal.append(value)
+            full.append(value)
+            continue
+        given = [names.split()[-1]] + ([] if kw.get("action") else [value])
+        full += given
+        if kw.get("required"):
+            minimal += given
+    _read_like_argparse(minimal)
+    _read_like_argparse(full)
+
+
+def _readme_calls() -> list:
+    readme = (DATA.parent.parent / "README.md").read_text(encoding="utf-8")
+    prompt = "$ planeforge "
+    return [
+        shlex.split(line[len(prompt):], comments=True)
+        for line in readme.splitlines()
+        if line.startswith(prompt)
+    ]
+
+
+def test_readme_calls_are_read_directly():
+    calls = _readme_calls()
+    assert len(calls) >= 8
+    for argv in calls:
+        _read_like_argparse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [  # the argv shapes of the benchmark's query workload
+        ["report", "/w/stage9.plane"],
+        ["icl", "/w/rand3.plane", "--subset", "p1 p4"],
+        ["strong", "/w/stage12.plane", "--subset", "n3 n7 n11"],
+        ["delta", "/w/rand0.plane", "--subset", "p2"],
+        ["decompose", "/w/rand5.plane", "--lower", "p0 p3 p7"],
+        ["amalgamate", "/w/stage8.plane", "/w/tmpl3.plane", "--mode", "canonical",
+         "--over", "p1 p2"],
+    ],
+)
+def test_benchmark_calls_are_read_directly(argv):
+    _read_like_argparse(argv)
