@@ -17,7 +17,8 @@ _strong_line_sets).  The survivors collapse by key, keeping the first line
 set of each key.  Both keys come from one branch-and-bound search for a
 least encoding (_least_encoding): a plane's key searches its refined color
 classes, a key over the base fixes the base points and searches the new
-points as one class.
+points as one class.  The builder's step test (_strong_over) is the same
+slack test read per line, so only this module knows the packed format.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import string
 from collections.abc import Iterator
 from functools import cache
 from itertools import combinations
+from typing import AbstractSet
 
 from .errors import BudgetExceeded, PreconditionError
-from .plane import Plane, make_plane, validate
-from .predim import in_K0
+from .plane import Plane, _record_valid, make_plane, validate
+from .predim import in_K0, is_strong
 
 CENSUS_CAP = 7
 EXTENSION_CAP = 4
@@ -314,8 +316,8 @@ def _strong_line_sets(base: Plane, new: list[str]):
     The slack |Y| - loss(Y) of every Y (the empty one included, at zero)
     is kept in one integer, a byte per Y with its top bit set while the
     slack is nonnegative; a line's losses are packed alike, read off by
-    |l & Y|, and subtracted at once (see _slack and _losses, which the
-    builder's strength check shares).  A loss per line is at most |Y| <=
+    |l & Y|, and subtracted at once (see _slack and _losses, which
+    _strong_over shares).  A loss per line is at most |Y| <=
     CENSUS_CAP, so a field never borrows from the next before its branch is
     cut.
     """
@@ -374,13 +376,38 @@ def _slack(m: int) -> tuple[int, int]:
 def _losses(on_new: int, b: int, m: int) -> int:
     """The loss max(b + |l & Y| - 2, 0) - max(b - 2, 0) of a line l with the
     new points ``on_new`` and ``b`` others, packed as _slack packs.  It
-    depends on b only through min(b, 2), which the builder passes, so its
+    depends on b only through min(b, 2), which _strong_over passes, so its
     cache grows only with the base line sizes the census passes."""
     met = b"\0"  # met[y] = |l & Y|, over the Y among the first i new points
     for i in range(m):
         met += met.translate(_ONE_MORE) if on_new >> i & 1 else met
     loss = bytes(max(b + c - 2, 0) - max(b - 2, 0) for c in range(m + 1))
     return int.from_bytes(met.translate(loss.ljust(256, b"\0")), "little")
+
+
+def _strong_over(old: AbstractSet[str], new: frozenset, added, extended=()) -> bool:
+    """Whether the points ``old`` of a stage are strong in its successor by
+    a step with the new points ``new``, the added lines ``added`` and the
+    old lines that gained new points, as (line, gain) pairs ``extended``,
+    decided on those lines (see generic._Builder.fire).  Every set above
+    old is old | Y, Y new, so this is _strong_line_sets' slack test with b
+    a line's points not new, checked per line so no packed field borrows.
+    A step of more than EXTENSION_CAP points (a big seed) takes a min-cut
+    on the plane G of its new points and lines: a set of G above old & G
+    gains what its union with old gains."""
+    if len(new) > EXTENSION_CAP:
+        added = (*added, *(frozenset(line | gain) for line, gain in extended))
+        glue = Plane(new.union(*added), frozenset(added))
+        return is_strong(glue, glue.points & old)
+    m, bit = len(new), {p: 1 << i for i, p in enumerate(new)}
+    slack, guard = _slack(m)
+    counts = [(new & l, len(l)) for l in added]
+    counts += [(new & gain, len(line) + len(gain)) for line, gain in extended]
+    for on, size in counts:
+        slack -= _losses(sum(map(bit.__getitem__, on)), min(size - len(on), 2), m)
+        if slack & guard != guard:
+            return False
+    return True
 
 
 def _pick_base(options, extra, guard, i, lines, used, slack, covered):
@@ -442,6 +469,12 @@ def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
     set stands for the whole class.  No in_K0 check either: by
     submodularity, delta(X) >= delta(X | base) - delta(base) + delta(X &
     base) >= 0 for every X once base is strong in B and in K0.
+
+    Each template is marked valid unchecked, being valid by construction:
+    a base line keeps its 3 or more points and an extra line has bsize +
+    len(sub) >= 3, every line lies in the points, disjoint pair masks let
+    two lines share at most one point, and the names are the base's (valid
+    by contract) and the fresh n1, n2, ... (see _strong_line_sets).
     """
     new = _fresh_names(base, m)
     allpts = list(base.points) + new
@@ -451,6 +484,7 @@ def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
         key = _least_encoding(lines, choices)[0]
         if key not in found:
             found[key] = make_plane(allpts, lines)
+            _record_valid(found[key])
     for key in sorted(found):
         yield found[key]
 

@@ -26,7 +26,7 @@ delta-slack test on the step's lines (a min-cut only for a step of more
 than EXTENSION_CAP points, such as a big seed), and induced in it.
 K0 is never solved per step: a plane with a strong, induced subplane in
 K0 is itself in K0 (see _Builder.fire), so every stage is in K0 by proof.
-No stage is validated either: only the small glued copy is checked in full.
+No stage or glued copy is validated either: both are valid by proof.
 The chain keeps the final plane and the step records: each step's new
 points, new lines, and extended line ids with the points they gained, so
 the records hold each incidence of the final plane once.  One forward
@@ -63,6 +63,7 @@ from .census import (
     CENSUS_CAP,
     EXTENSION_CAP,
     _strong_extensions_exactly,
+    _strong_over,
     canonical_key,
     canonical_labeling,
     enumerate_planes,
@@ -79,7 +80,6 @@ from .errors import (
 )
 from .plane import Plane, _record_valid, line_through, make_plane, restrict, validate
 from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
-from .step import _strong_over
 
 ICL_SWEEP_CAP = 200_000
 
@@ -253,6 +253,11 @@ class _Builder:
             frozenset(map(name, template.points)),
             frozenset([frozenset(map(name, l)) for l in template.lines]),
         )
+        # The template is valid (free: census templates are marked, seeds
+        # checked), so the copy is: the renaming is injective and uses only
+        # instance points and fresh x<n> names.  So _glued checks nothing.
+        validate(template)
+        _record_valid(concrete)
         old, lines, through = self.points, self.lines, self.through
         meeting = self._meeting(inst_points)  # kept up to date below
         added, new_lines, extended = _glued(old, lines, meeting, concrete, inst_points)
@@ -357,9 +362,9 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
     eventually, seeding just front-loads chosen ones.  The chain keeps the
     final stage and, per step, the concrete base, the new points, the new
     lines and the extended lines' ids with their gains, from which it
-    replays the stages on demand.  Seeds and glued copies are validated
-    once; every stage is a canonical amalgam of valid planes, so no stage
-    is ever validated.
+    replays the stages on demand.  Only the seeds are validated: census
+    templates, their renamed copies (see _Builder.fire) and the stages,
+    canonical amalgams of valid planes, are valid by proof.
     """
     if steps < 0:
         raise PreconditionError("step count must be nonnegative")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import planeforge.census as census_mod
 import planeforge.generic as generic_mod
+import planeforge.plane as plane_mod
 from planeforge import (
     BudgetExceeded,
     build_generic,
@@ -36,6 +37,7 @@ from .oracles import (
     oracle_is_strong,
     oracle_least_encoding,
     oracle_strong_extensions,
+    oracle_validate,
 )
 
 EXACT_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 10}
@@ -343,7 +345,8 @@ def test_extensions_pass_independent_oracles():
 
 def test_extensions_match_the_flow_oracle_in_order():
     # The pruned generator against the unpruned one that keeps a line set by
-    # a min-cut is_strong: the same templates, line sets and order.
+    # a min-cut is_strong: the same templates, line sets and order.  Each
+    # template is marked valid unchecked, so it must pass both checks.
     cases = 0
     for base in enumerate_planes(6):
         size = len(base.points)
@@ -351,6 +354,10 @@ def test_extensions_match_the_flow_oracle_in_order():
         for k in ks:
             got = enumerate_strong_extensions(base, k)
             assert got == oracle_strong_extensions(base, k), (base, k)
+            for t in got:
+                assert t.__dict__.get("_valid") is True, t
+                oracle_validate(t)
+                plane_mod._check_structure(t)
             cases += 1
     assert cases == 2 * 23 + 8 + 5
 

@@ -47,7 +47,7 @@ from planeforge.plane import Plane
 from planeforge.planefile import serialize_plane
 
 from .conftest import library_env, random_lines
-from .oracles import is_wedge_subgeometry
+from .oracles import is_wedge_subgeometry, oracle_validate
 from .test_predim import AG23
 
 
@@ -260,23 +260,22 @@ def test_tier_steps_solve_no_min_cut(monkeypatch, nd10):
 def test_build_never_rechecks_a_stage(monkeypatch, nd10):
     # Each stage is a canonical amalgam, valid by proof: the build keeps its
     # stage as sets, never as a plane to check, and the replayed stages are
-    # marked valid.  The full structural check runs once per seed and glued
-    # copy, and reading the stages runs it on none.
+    # marked valid.  Census templates and their renamed copies are valid by
+    # proof too, so the full structural check runs for the seed alone, and
+    # reading the stages runs it on none.
     checked = []
     check = plane_mod._check_structure
 
     def counted(plane):
-        checked.append(plane)  # held, so no id is reused
+        checked.append(plane)
         check(plane)
 
     monkeypatch.setattr(plane_mod, "_check_structure", counted)
     chain = build_generic(200, 2, seeds=[nd10])
-    assert len(checked) == 1 + 200  # seed, one copy per step
-    ids = [id(p) for p in checked]
-    assert len(set(ids)) == len(ids)  # no plane checked twice
+    assert len(checked) == 1 and checked[0] is nd10  # the seed alone
     stages = chain.stages
     assert len(stages) == 1 + 200
-    assert len(checked) == 1 + 200  # the replay checks nothing
+    assert len(checked) == 1  # the replay checks nothing
     assert all(stage.__dict__.get("_valid") for stage in (*stages, chain.final))
 
 
@@ -583,11 +582,16 @@ def test_index_fed_glue_matches_a_pass_over_the_stage(
 ):
     # The builder hands the glue the ids of the stage lines through the base
     # from its own index; they and their traces must be those of a pass over
-    # every stage line, so the one wedge test reads the same lines.
+    # every stage line, so the one wedge test reads the same lines.  The copy
+    # it hands over is marked valid unchecked, so it must be valid, and its
+    # points off the base must be new to the stage.
     glue = generic_mod._glued
     based = Counter()
 
     def checked(old, lines, meeting, copy, c):
+        assert copy.__dict__.get("_valid") is True
+        oracle_validate(copy)
+        assert (copy.points - c).isdisjoint(old)
         every = [frozenset(line) for line in lines]
         assert meeting == {i for i, line in enumerate(every) if len(line & c) >= 2}
         local = {c & lines[i]: i for i in meeting}

@@ -1,7 +1,7 @@
 """Every module of the package imports in a fresh interpreter.
 
 A fresh interpreter holds no module that an earlier test imported, so an
-import cycle (between amalgam and step, say) or any other import-time
+import cycle (between census and generic, say) or any other import-time
 failure of a module is reported here under that module's name, cli
 included, which the package itself does not import.
 """
@@ -13,6 +13,8 @@ from pathlib import Path
 import pytest
 
 import planeforge
+import planeforge.census as census_mod
+import planeforge.generic as generic_mod
 
 from .conftest import library_env
 
@@ -24,7 +26,13 @@ MODULES = sorted(
 
 
 def test_every_module_is_listed():
-    assert {"amalgam", "generic", "plane", "step"} <= set(MODULES)
+    assert {"amalgam", "census", "generic", "plane"} <= set(MODULES)
+
+
+def test_the_builder_reads_the_census_slack_test():
+    # One copy of the step test: the seams that patch generic._strong_over
+    # patch the census's own.
+    assert generic_mod._strong_over is census_mod._strong_over
 
 
 @pytest.mark.parametrize("module", MODULES)
