@@ -17,10 +17,13 @@ check C this way.
 There is one canonical glue, _glued, run by canonical_amalgam and by the
 builder's step (generic._Builder.fire) alike.  It takes the first side as
 its points and its lines by id, reads only the lines of it meeting C
-twice, makes the shared-part, wedge and additivity checks, and returns the
+twice, makes the shared-part and additivity checks, and returns the
 amalgam as step data: the new points, the new lines, and the first side's
 lines that take new points or are identified with a longer line (_step
-turns that into the lines added, dropped and identified).
+turns that into the lines added, dropped and identified).  Wedge condition
+(b) follows from C being strong on both sides, which the builder's
+invariants give at every step (the proof is in _glued), so only
+canonical_amalgam, which glues planes it knows nothing about, checks it.
 
 canonical_amalgam requires valid input planes and validates them first;
 validate remembers success on a plane, so a plane that is already known to
@@ -150,18 +153,36 @@ def _glued(old: AbstractSet[str], lines: list, meeting: set, b: Plane, c: frozen
     and (id, gain) per first-side line whose C-trace a line of b has, gain
     its new points, when some or the first-side line is longer.  Only the
     first-side lines ``meeting`` C twice are read.  b is validated first,
-    then C, the wedge condition on each side and additivity are checked, in
-    that order; additivity is from counts (see canonical_amalgam)."""
+    then C and additivity are checked, in that order; additivity is from
+    counts (see canonical_amalgam).
+
+    Wedge condition (b) on each side is not checked here; it holds wherever
+    C is strong.  canonical_amalgam checks it on its inputs before it glues.
+    The builder's step (generic._Builder.fire) needs no check, by these
+    invariants:
+
+    1. If C is strong in a plane, wedge (b) holds in it: for a point p off
+       C, delta(C u {p}) - delta(C) = 1 - (the number of lines through p
+       that meet C twice), so no two such lines meet off C.
+    2. A registered copy B, glued over its instance C onto a stage A, is
+       strong in the successor M.  Each X with B <= X <= M is B u Y with Y
+       inside A - C, and every line of M through Y is a stage line.  Its
+       trace on B exceeds its trace on C only by points of the copy, and
+       only when its C-trace has two points or more, where a further point
+       costs one either way.  So delta(B u Y) - delta(B) = delta(C u Y) -
+       delta(C), which is >= 0 when C is strong in A.
+    3. Every later stage is a strong extension of the one before (fire
+       checks it with _strong_over), and strength is transitive, so B stays
+       strong in every later stage.  The first instance, the empty set, is
+       strong because every stage is in K0.  So every base instance is
+       strong in its stage, and 1 gives the stage side.
+    4. Census templates are strong over their base by construction, and 1
+       gives the copy side.  Seeds glue over the empty set, which no line
+       meets twice.
+    """
     validate(b)
     based = {c & lines[i]: i for i in meeting}
     based_b = _shared_traces(old, based, b, c, "canonical_amalgam")
-    sides = {"first": {t: lines[i] for t, i in based.items()}, "second": based_b}
-    for name, side in sides.items():
-        if not _wedge(side):
-            raise NotWedgeSubgeometry(
-                f"canonical_amalgam: shared part is not wedge-compatible "
-                f"in the {name} plane"
-            )
     new_lines = list(b.lines.difference(based_b.values()))
     extended = []
     for trace, line in based_b.items():
@@ -282,11 +303,24 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
     and b's, never a whole-plane delta.
 
     The glue is the builder's (_glued), with a's lines by id; its step data
-    is applied to a (see _step).
+    is applied to a (see _step).  The glue checks no wedge condition, so
+    the wedge checks sit here, after the shared part and before additivity:
+    a and b are validated and C is checked, then wedge (b) on the first
+    side and on the second, then the glue runs (its checks of b and C pass
+    again) and checks additivity.
     """
     validate(a)
+    validate(b)
     c, lines = frozenset(shared), list(a.lines)
     meeting = {i for i, line in enumerate(lines) if len(line & c) >= 2}
+    based = {c & lines[i]: lines[i] for i in meeting}
+    based_b = _shared_traces(a.points, based, b, c, "canonical_amalgam")
+    for name, side in {"first": based, "second": based_b}.items():
+        if not _wedge(side):
+            raise NotWedgeSubgeometry(
+                f"canonical_amalgam: shared part is not wedge-compatible "
+                f"in the {name} plane"
+            )
     step = _step(lines, c, *_glued(a.points, lines, meeting, b, c))
     return AmalgamResult(_successor(a, step), "canonical", step.identified)
 

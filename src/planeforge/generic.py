@@ -19,11 +19,11 @@ base instance C in place with the canonical glue that canonical_amalgam
 runs too (see amalgam._glued): a copy line with the C-trace
 (of at least 2 points) of a stage line adds its new points to that line,
 and every other copy line is a new line.  So a step reads only the stage
-lines through C and writes only its own points.  Its checks are
-canonical_amalgam's and the builder's own, exact but local (see
-_Builder.fire): the old stage is strong in the new one, by the census's
-delta-slack test on the step's lines (a min-cut only for a step of more
-than EXTENSION_CAP points, such as a big seed), and induced in it.
+lines through C and writes only its own points.  Its checks are the glue's
+(wedge condition (b) holds by proof, see amalgam._glued) and the builder's
+own, exact but local (see _Builder.fire): the old stage is strong in the
+new one, by the census's delta-slack test on the step's lines (a min-cut
+only for a step of more than EXTENSION_CAP points), and induced in it.
 K0 is never solved per step: a plane with a strong, induced subplane in
 K0 is itself in K0 (see _Builder.fire), so every stage is in K0 by proof.
 No stage or glued copy is validated either: both are valid by proof.
@@ -255,7 +255,8 @@ class _Builder:
         )
         # The template is valid (free: census templates are marked, seeds
         # checked), so the copy is: the renaming is injective and uses only
-        # instance points and fresh x<n> names.  So _glued checks nothing.
+        # instance points and fresh x<n> names.  So _glued's validate is free,
+        # and wedge (b) needs no check: C is strong on both sides (see _glued).
         validate(template)
         _record_valid(concrete)
         old, lines, through = self.points, self.lines, self.through

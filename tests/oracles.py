@@ -4,7 +4,10 @@ Everything here works by full enumeration over all supersets, straight from
 the definitions, sharing no code with the min-cut engine.  Exponential on
 purpose — only run these on small planes.  The wedge helpers
 (lines_based_in, is_subgeometry, rank2_flats, is_wedge_subgeometry) state
-the wedge condition on whole planes; the library decides it locally.
+the wedge condition on whole planes; the library decides it locally.  The
+networkx helpers (networkx_min_delta, networkx_is_strong) are the one
+exception to enumeration: a max-flow from networkx, for planes too big to
+enumerate, still sharing no code with the library's engine.
 """
 
 import re
@@ -58,6 +61,37 @@ def oracle_is_strong(plane, subset, within=None) -> bool:
 
 def oracle_in_K0(plane) -> bool:
     return oracle_d_value(plane, frozenset()) == 0
+
+
+def networkx_min_delta(plane, seed, universe=None) -> int:
+    """min delta(X) over seed <= X <= universe, by networkx's max-flow.
+
+    The selection network comes from the definition: the source pays each
+    line with at least three points in the universe its nullity |l| - 2,
+    the line feeds each of its points outside the seed with unbounded
+    capacity, and each fed point costs 1 to the sink.  A minimizer can take
+    every line it meets twice whole, as a point on it adds 1 and takes 1,
+    so the minimum is |seed| less the most the selected lines can earn.
+    """
+    import networkx as nx  # here: perfbench imports this module without it
+
+    seed = frozenset(seed)
+    universe = plane.points if universe is None else frozenset(universe)
+    traces = [t for t in (line & universe for line in plane.lines) if len(t) >= 3]
+    g = nx.DiGraph()
+    g.add_nodes_from("st")
+    for i, t in enumerate(traces):
+        g.add_edge("s", ("l", i), capacity=len(t) - 2)
+        for p in t - seed:
+            g.add_edge(("l", i), ("p", p))  # no capacity attribute: unbounded
+            g.add_edge(("p", p), "t", capacity=1)
+    profit = sum(len(t) - 2 for t in traces)
+    return len(seed) - (profit - nx.maximum_flow_value(g, "s", "t"))
+
+
+def networkx_is_strong(plane, subset, within=None) -> bool:
+    seed = frozenset(subset)
+    return networkx_min_delta(plane, seed, within) == oracle_delta(plane, seed)
 
 
 def oracle_decompose(plane, lower, upper) -> tuple:

@@ -29,6 +29,7 @@ from planeforge import (
     enumerate_planes,
     figure2_plane,
     find_embedding,
+    icl,
     in_K0,
     is_strong,
     iterated_amalgam,
@@ -47,7 +48,12 @@ from planeforge.plane import Plane
 from planeforge.planefile import serialize_plane
 
 from .conftest import library_env, random_lines
-from .oracles import is_wedge_subgeometry, oracle_validate
+from .oracles import (
+    is_wedge_subgeometry,
+    networkx_is_strong,
+    networkx_min_delta,
+    oracle_validate,
+)
 from .test_predim import AG23
 
 
@@ -621,6 +627,107 @@ def test_pairwise_wedge_matches_the_pass_over_every_line():
         assert local == is_wedge_subgeometry(restrict(plane, c), plane), (lines, c)
         verdicts[local] += 1
     assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_strong_sets_meet_wedge_b():
+    # A strong C has wedge (b): a point p off C on k lines that meet C twice
+    # gives delta(C u {p}) - delta(C) = 1 - k (see amalgam._glued).  Closures
+    # are strong; the seeds they close are often not wedge-compatible.
+    rng = random.Random(28)
+    walked = seeds_broken = 0
+    for _ in range(300):
+        points = [f"p{i}" for i in range(rng.randint(4, 12))]
+        plane = make_plane(points, random_lines(rng, points, 16))
+        seed = frozenset(rng.sample(points, rng.randint(2, len(points) - 1)))
+        c = icl(plane, seed)
+        based = amalgam_mod._based_among(plane.lines, c)
+        assert amalgam_mod._wedge(based), (plane, seed)
+        walked += any(s.isdisjoint(t) for s, t in combinations(based, 2))
+        seeds_broken += not amalgam_mod._wedge(amalgam_mod._based_among(plane.lines, seed))
+    assert walked >= 50 and seeds_broken >= 50, (walked, seeds_broken)
+
+
+def test_builder_walks_no_wedge_pair(monkeypatch, nd10):
+    # Wedge (b) holds on both sides of every builder step by proof, so only
+    # canonical_amalgam runs the wedge walk, and the builder never calls it.
+    walks = []
+    wedge = amalgam_mod._wedge
+
+    def counted(based):
+        walks.append(based)
+        return wedge(based)
+
+    monkeypatch.setattr(amalgam_mod, "_wedge", counted)
+    build_generic(2000, 3)
+    build_generic(500, 2, seeds=[nd10])
+    assert walks == []
+
+
+@pytest.mark.parametrize(
+    "steps, ext_bound, seeds",
+    [(5000, 3, ()), (2000, 2, ("nd10",)), (300, 3, ("fig2", "nd10")), (300, 2, ("k0",))],
+)
+def test_builder_steps_meet_wedge_b_on_both_sides(
+    monkeypatch, steps, ext_bound, seeds, nd10, fig2
+):
+    # The walk the builder no longer makes, on the stage's lines through two
+    # base points and on the copy's, at every step; and on sampled steps of
+    # small stages, the whole-plane wedge test and the base's strength.
+    rng = random.Random(steps + ext_bound)
+    points = [f"k{i}" for i in range(9)]
+    k0 = next(
+        plane
+        for plane in (make_plane(points, random_lines(rng, points, 12)) for _ in range(100))
+        if len(plane.lines) >= 4 and in_K0(plane)
+    )
+    named = {"nd10": nd10, "fig2": fig2, "k0": k0}
+    glue, verdicts, walked = generic_mod._glued, [], 0
+
+    def spied(old, lines, meeting, copy, c):
+        nonlocal walked
+        stage = {c & lines[i]: lines[i] for i in meeting}
+        on_copy = amalgam_mod._based_among(copy.lines, c)
+        verdicts.append((amalgam_mod._wedge(stage), amalgam_mod._wedge(on_copy)))
+        walked += any(s.isdisjoint(t) for s, t in combinations(stage, 2))
+        return glue(old, lines, meeting, copy, c)
+
+    monkeypatch.setattr(generic_mod, "_glued", spied)
+    chain = build_generic(steps, ext_bound, seeds=[named[s] for s in seeds])
+    assert verdicts == [(True, True)] * steps
+    assert walked >= steps // 10, walked
+    sizes = [0]
+    for rec in chain.steps:
+        sizes.append(sizes[-1] + len(rec.added))
+    small = [i for i in range(steps) if sizes[i] <= 300]
+    sample = set(rng.sample(small, min(20, len(small))))
+    for i, stage in zip(range(max(sample) + 1), chain.replay()):
+        if i in sample:
+            base = chain.steps[i].base
+            assert is_wedge_subgeometry(restrict(stage, base), stage), i
+            assert is_strong(stage, base), i
+
+
+def test_builder_invariants_hold_by_an_independent_min_cut():
+    # networkx's max-flow, sharing no code with the library: on sampled
+    # steps, the base instance is strong in its stage and the stage in its
+    # successor, and the final stage has min delta 0 (it is in K0).  The
+    # stage less the base, mostly not strong in the successor, shows that
+    # the oracle can say no, and that it then agrees with the library.
+    chain = build_generic(1000, 3)
+    sample = set(random.Random(1000).sample(range(1000), 12))
+    before, refused = None, 0
+    for i, stage in enumerate(chain.replay()):
+        if i in sample:
+            assert networkx_is_strong(stage, chain.steps[i].base), i
+        if i - 1 in sample:
+            assert networkx_is_strong(stage, before.points), i - 1
+            rest = before.points - chain.steps[i - 1].base
+            refused += not networkx_is_strong(stage, rest)
+            assert networkx_is_strong(stage, rest) == is_strong(stage, rest), i - 1
+        before = stage
+    assert refused >= 6
+    assert networkx_min_delta(chain.final, frozenset()) == 0
+    assert networkx_min_delta(AG23, frozenset()) == -3  # outside K0
 
 
 def _lines_digest(chain) -> str:
