@@ -14,11 +14,14 @@ loss, so a branch that breaks this is cut with everything below it.  It
 also takes the new points in first-use order, which keeps the first line
 set of every class over the base.  Both cuts are exact (see
 _strong_line_sets).  The survivors collapse by key, keeping the first line
-set of each key.  Both keys come from one branch-and-bound search for a
-least encoding (_least_encoding): a plane's key searches its refined color
-classes, a key over the base fixes the base points and searches the new
-points as one class.  The builder's step test (_strong_over) is the same
-slack test read per line, so only this module knows the packed format.
+set of each key.  A plane's key comes from a branch-and-bound search for
+a least encoding over its refined color classes (_least_encoding).  A key
+over the base fixes the base points and takes the least encoding over the
+m! orders of the m <= EXTENSION_CAP new points, read from one table per
+(base, m) group that encodes each line once under every order (see
+_strong_extensions_exactly).  The builder's step test (_strong_over) is
+the same slack test read per line, so only this module knows the packed
+format.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import string
 from collections.abc import Iterator
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import AbstractSet
 
 from .errors import BudgetExceeded, PreconditionError
@@ -111,7 +114,11 @@ def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
 
     ``choices[d]`` lists who may take label d, in order; a point may take
     one label only, and a label with a single choice is fixed.  A line is
-    encoded as its sorted labels, a line set as its sorted lines.
+    encoded as its sorted labels, a line set as its sorted lines.  Its one
+    caller is canonical_labeling: a plane's classes can hold up to n!
+    orders, too many to list, while a key over a base has at most
+    EXTENSION_CAP! orders and reads them from a table (see
+    _strong_extensions_exactly).
 
     The search is depth first and fills labels 0, 1, 2, ... in order: a
     fixed label takes its point, a searched label tries the unused members of
@@ -461,11 +468,18 @@ def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
     checks it.  Strength is decided while the line sets are generated (see
     _strong_line_sets), so no min-cut is solved.  One representative per
     isomorphism over the base, the first line set met with its over-base
-    key, yielded in key order: the least encoding (see _least_encoding) with
-    the b base points fixed at labels 0..b-1 in name order and the new
-    points searched as one class, so keys compare as encoding base point p
-    as (0, p) and new point i as (1, i), least over the new points' orders,
-    would.  Strength is kept by such an isomorphism, so a key's first line
+    key, yielded in key order.  The key is the least encoding (each line
+    its sorted labels, the lines sorted) over the m! labellings that put
+    the b base points at 0..b-1 in name order and the new points at
+    b..b+m-1 in each order, so keys compare as encoding base point p as
+    (0, p) and new point i as (1, i), least over the new points' orders,
+    would.  The group builds the labellings once and one table for every
+    line its line sets use: the line's frozenset and its encoding under
+    each labelling, made when the line first appears.  A line set's key is
+    then the least of its sorted columns of encodings, with no search, and
+    every template is built from the group's point set and the table's
+    frozensets, so the templates of a group share those objects.
+    Strength is kept by such an isomorphism, so a key's first line
     set stands for the whole class.  No in_K0 check either: by
     submodularity, delta(X) >= delta(X | base) - delta(base) + delta(X &
     base) >= 0 for every X once base is strong in B and in K0.
@@ -477,13 +491,23 @@ def _strong_extensions_exactly(base: Plane, m: int) -> Iterator[Plane]:
     by contract) and the fresh n1, n2, ... (see _strong_line_sets).
     """
     new = _fresh_names(base, m)
-    allpts = list(base.points) + new
-    choices = [[p] for p in sorted(base.points)] + [new] * m
+    points = base.points.union(new)
+    fixed = {p: i for i, p in enumerate(sorted(base.points))}
+    labels = [
+        fixed | dict(zip(order, range(len(fixed), len(points))))
+        for order in permutations(new)
+    ]
+    table: dict[tuple, tuple] = {}  # line -> (its frozenset, its encodings)
     found: dict[tuple, Plane] = {}
     for lines in _strong_line_sets(base, new):
-        key = _least_encoding(lines, choices)[0]
+        for line in lines:
+            if line not in table:
+                codes = [tuple(sorted(map(lab.__getitem__, line))) for lab in labels]
+                table[line] = frozenset(line), codes
+        columns = zip(*(table[line][1] for line in lines))
+        key = min((tuple(sorted(column)) for column in columns), default=())
         if key not in found:
-            found[key] = make_plane(allpts, lines)
+            found[key] = Plane(points, frozenset(table[line][0] for line in lines))
             _record_valid(found[key])
     for key in sorted(found):
         yield found[key]

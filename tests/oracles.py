@@ -5,9 +5,12 @@ the definitions, sharing no code with the min-cut engine.  Exponential on
 purpose — only run these on small planes.  The wedge helpers
 (lines_based_in, is_subgeometry, rank2_flats, is_wedge_subgeometry) state
 the wedge condition on whole planes; the library decides it locally.  The
-networkx helpers (networkx_min_delta, networkx_is_strong) are the one
+networkx helpers (networkx_min_delta, networkx_is_strong) are one
 exception to enumeration: a max-flow from networkx, for planes too big to
-enumerate, still sharing no code with the library's engine.
+enumerate, still sharing no code with the library's engine.  The other is
+oracle_extensions_by_search, which keys the library's own line sets by the
+library's labelling search, a different algorithm from the line table the
+library keys them with.
 """
 
 import re
@@ -553,3 +556,26 @@ def _oracle_over_base_key(new, lines):
         if best is None or encoded < best:
             best = encoded
     return (len(new), best)
+
+
+def oracle_extensions_by_search(base, m):
+    """census._strong_extensions_exactly keyed by the labelling search.
+
+    Walks the library's line sets (_strong_line_sets) but keys each one by
+    its own _least_encoding call, the branch and bound, with the base
+    points fixed at labels 0..b-1 in name order and the new points searched
+    as one class; the first line set of each key is kept, and the keys are
+    sorted.  Returns the templates as a list.
+    """
+    from planeforge import make_plane
+    from planeforge.census import _fresh_names, _least_encoding, _strong_line_sets
+
+    new = _fresh_names(base, m)
+    allpts = list(base.points) + new
+    choices = [[p] for p in sorted(base.points)] + [new] * m
+    found = {}
+    for lines in _strong_line_sets(base, new):
+        key = _least_encoding(lines, choices)[0]
+        if key not in found:
+            found[key] = make_plane(allpts, lines)
+    return [found[key] for key in sorted(found)]

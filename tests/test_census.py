@@ -33,6 +33,7 @@ from .oracles import (
     _oracle_extension_line_sets,
     _oracle_over_base_key,
     oracle_canonical_labeling,
+    oracle_extensions_by_search,
     oracle_in_K0,
     oracle_is_strong,
     oracle_least_encoding,
@@ -425,18 +426,76 @@ def test_fresh_names_that_cross_a_digit_count():
 
 def test_first_use_cut_keys_few_line_sets(monkeypatch):
     # abcd/abc by up to 4 new points: 1,192 classes.  Without the first-use
-    # cut every strong line set is keyed, 19,507 of them.
-    calls = 0
-    least_encoding = census_mod._least_encoding
+    # cut every strong line set is keyed, 19,507 of them.  Each line set
+    # the search yields is keyed once, so the spy counts the keys.
+    keyed = 0
+    strong_line_sets = census_mod._strong_line_sets
 
     def counted(*args):
-        nonlocal calls
-        calls += 1
+        nonlocal keyed
+        for lines in strong_line_sets(*args):
+            keyed += 1
+            yield lines
+
+    monkeypatch.setattr(census_mod, "_strong_line_sets", counted)
+    assert len(enumerate_strong_extensions(make_plane("abcd", ["abc"]), 4)) == 1192
+    assert 1192 <= keyed <= 2_200
+
+
+def test_extensions_match_the_search_oracle():
+    # The line table's keys against the labelling search's, over the same
+    # line sets: the same templates in the same order, on every census base
+    # of up to 6 points by up to 2 new points and of up to 5 by 3, on
+    # abcd/abc by 4, over n1..n8 (new points n10, n9) by 2, and on numbered
+    # bases whose name order is not their integer order.
+    cases = []
+    for base in enumerate_planes(6):
+        cases += [(base, 1), (base, 2)] + [(base, 3)] * (len(base.points) <= 5)
+    names = [f"n{i}" for i in range(1, 9)]
+    cases += [(make_plane("abcd", ["abc"]), 4), (make_plane(names, [names[:6]]), 2)]
+    rng = random.Random(29)
+    numbered = [_numbered_base(rng, 5), _numbered_base(rng, 6)]
+    assert all(sorted(b.points) != sorted(b.points, key=int) for b in numbered)
+    cases += [(numbered[0], 3), (numbered[1], 2)]
+    for base, m in cases:
+        got = list(census_mod._strong_extensions_exactly(base, m))
+        assert got == oracle_extensions_by_search(base, m), (base, m)
+    assert len(cases) == 2 * 23 + 13 + 4
+
+
+def test_tiers_key_no_line_set_by_the_labelling_search(monkeypatch, nd10):
+    # Over-base keys come from the line table; the branch and bound runs
+    # only under canonical_labeling.
+    calls = {"search": 0, "labelling": 0}
+    least_encoding = census_mod._least_encoding
+    labeling = census_mod.canonical_labeling
+
+    def searched(*args):
+        calls["search"] += 1
         return least_encoding(*args)
 
-    monkeypatch.setattr(census_mod, "_least_encoding", counted)
-    assert len(enumerate_strong_extensions(make_plane("abcd", ["abc"]), 4)) == 1192
-    assert calls <= 2_200
+    def labelled(plane):
+        calls["labelling"] += 1
+        return labeling(plane)
+
+    monkeypatch.setattr(census_mod, "_least_encoding", searched)
+    monkeypatch.setattr(census_mod, "canonical_labeling", labelled)
+    monkeypatch.setattr(generic_mod, "canonical_labeling", labelled)
+    build_generic(500, 2, seeds=[nd10])
+    assert calls["labelling"] > 0
+    assert calls["search"] == calls["labelling"]
+
+
+def test_templates_of_a_group_share_their_lines():
+    # One table per (base, new size) group: every template of the group
+    # holds the table's line objects and the group's point set, so a line
+    # is allocated once however many templates hold it.
+    base = make_plane("abcd", ["abc"])
+    templates = list(census_mod._strong_extensions_exactly(base, 2))
+    lines = [line for t in templates for line in t.lines]
+    assert len(templates) > 10
+    assert len({id(line) for line in lines}) == len(set(lines))
+    assert len({id(t.points) for t in templates}) == 1
 
 
 def test_extensions_do_not_pin_their_base():

@@ -243,6 +243,43 @@ def test_tiers_solve_no_flow(monkeypatch):
     assert solves == []
 
 
+def _tiers_digest(tiers, ext_bound) -> tuple[int, str]:
+    h, pairs = hashlib.sha256(), 0
+    for tier in tiers:
+        for pair in generic_mod._tier_pairs(tier, ext_bound):
+            h.update(repr(pair.base_key).encode())
+            h.update(serialize_plane("t", pair.template).encode())
+            pairs += 1
+    return pairs, h.hexdigest()
+
+
+def test_tier_output_is_pinned():
+    # The base keys and templates in yield order, as the labelling search
+    # keyed them: any change to the over-base keys or to the line-set
+    # search that moves a class or its order shows here.
+    assert _tiers_digest(range(CENSUS_CAP + 1), 2) == (
+        6090, "6f7705edbca576bef50f732909a95727ff3e255b13612774bbb9bd5c4e47ec67"
+    )
+    assert _tiers_digest(range(1, 6), 3) == (
+        3244, "8a1f6b058411db9b921a03c3ec716b956bd9d2951541b2ce70ae9a2ebeee3349"
+    )
+
+
+def test_tier_templates_hold_little_memory():
+    # The templates of a (base, new size) group share the group's point set
+    # and line objects: the 3,244 pairs of tiers 1-5 at bound 3 hold about
+    # 2 MiB, where a point set and lines of their own per template took 6.
+    enumerate_planes(CENSUS_CAP)
+    tracemalloc.start()
+    try:
+        pairs = [p for tier in range(1, 6) for p in generic_mod._tier_pairs(tier, 3)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 3244
+    assert held <= 3 * 2**20
+
+
 def test_tier_steps_solve_no_min_cut(monkeypatch, nd10):
     # A tier step adds at most ext_bound points, so its strength takes the
     # slack test; only a seed's step of more than EXTENSION_CAP points, and

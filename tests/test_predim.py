@@ -27,6 +27,7 @@ from planeforge import (
 
 from .conftest import random_lines, random_plane
 from .oracles import (
+    networkx_min_delta,
     oracle_alpha,
     oracle_d_value,
     oracle_delta,
@@ -409,3 +410,39 @@ def test_a_strong_induced_K0_subplane_puts_the_plane_in_K0():
                 held += 1
                 assert in_k0, (plane, s)
     assert held >= 200 and outside_k0 >= 20
+
+
+def test_icl_and_d_value_match_networkx_on_built_stages(nd10):
+    # Stages too big to enumerate, against networkx's max-flow.  On the
+    # 58-point stage 30 of the 200/2 nd10 chain, every pair S with a
+    # nontrivial closure X = icl(S): the minimum over S..U is delta(X) and
+    # d_value(S), X is strong, and dropping any p of X - S from U raises
+    # the minimum, so p lies in every minimizer and X is the least one.
+    stages = list(build_generic(200, 2, seeds=[nd10]).replay())
+    stage = stages[30]
+    assert len(stage.points) == 58
+    closures = 0
+    for s in map(frozenset, combinations(sorted(stage.points), 2)):
+        x = icl(stage, s)
+        if x == s:
+            continue
+        closures += 1
+        least = networkx_min_delta(stage, s)
+        assert least == oracle_delta(stage, x) == d_value(stage, s), s
+        assert networkx_min_delta(stage, x) == least, s
+        for p in x - s:
+            assert networkx_min_delta(stage, s, stage.points - {p}) > least, (s, p)
+    assert closures == 45
+    # d_value on the 349-point stage 200: each seed is two points of a
+    # stored line and one more point, so some closures are nontrivial.
+    stage = stages[200]
+    assert len(stage.points) == 349
+    rng = random.Random(200)
+    pts, lines = sorted(stage.points), sorted(map(sorted, stage.lines))
+    below = 0
+    for _ in range(20):
+        pair = rng.sample(rng.choice(lines), 2)
+        s = frozenset(pair + [rng.choice([p for p in pts if p not in pair])])
+        assert d_value(stage, s) == networkx_min_delta(stage, s), s
+        below += d_value(stage, s) < delta(stage, s)
+    assert below > 0
