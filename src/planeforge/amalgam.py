@@ -414,7 +414,7 @@ def sharp_step(
     _shared_traces(a.points, _based_among(a.lines, c), b, c, "sharp_step")
     if not is_strong(a, c):
         raise NotStrong("sharp_step: shared part must be strong in the first plane")
-    if not is_primitive(a, c, a.points):
+    if _smallest_step(a, c, a.points) != a.points:  # is_primitive, minus the check above
         raise NotPrimitive("sharp_step: first plane must be primitive over the shared part")
     if not is_strong(b, c):
         raise NotStrong("sharp_step: shared part must be strong in the second plane")

@@ -16,7 +16,9 @@ from .plane import Plane, line_through
 
 
 def _placement_order(sub: Plane, fixed: frozenset[str]) -> list[str]:
-    """Free points ordered so each one touches placed structure early."""
+    """Free points ordered so each one touches placed structure early: most
+    placed points sharing a stored line with it first.  The lines through
+    an unplaced p meet only in p, so each such placed point counts once."""
     deg = {p: len(sub.lines_through[p]) for p in sub.points}
     placed = set(fixed)
     order: list[str] = []
@@ -25,7 +27,7 @@ def _placement_order(sub: Plane, fixed: frozenset[str]) -> list[str]:
         best = max(
             remaining,
             key=lambda p: (
-                sum(1 for q in placed if line_through(sub, p, q)),
+                sum(len(line & placed) for line in sub.lines_through[p]),
                 deg[p],
                 p,
             ),

@@ -18,8 +18,9 @@ from .errors import InvalidPlaneError, PreconditionError
 
 @dataclass(frozen=True)
 class Plane:
-    """Points and stored lines.  The incidence indices are built on first
-    use, freed with the plane, and ignored by equality and hashing."""
+    """Points and stored lines.  The one incidence index, lines_through, is
+    built on first use, freed with the plane, and ignored by equality and
+    hashing."""
 
     points: frozenset[str]
     lines: frozenset[frozenset[str]]
@@ -43,15 +44,6 @@ class Plane:
         and caches nothing, so an invalid plane raises on every call."""
         _check_structure(self)
         return True
-
-    @cached_property
-    def line_of_pair(self) -> dict[frozenset[str], frozenset[str]]:
-        """unordered pair -> the stored line through it, for covered pairs only."""
-        index: dict[frozenset[str], frozenset[str]] = {}
-        for line in self.lines:
-            for pair in _pairs(line):
-                index[pair] = line
-        return index
 
     def __repr__(self) -> str:  # keep test failure output readable
         pts = ",".join(sorted(self.points))
@@ -136,16 +128,14 @@ def _check_structure(plane: Plane) -> None:
         raise InvalidPlaneError(f"lines {l1} and {l2} share {common}")
 
 
-def _pairs(points: Iterable[str]) -> Iterable[frozenset[str]]:
-    pts = sorted(points)
-    for i, p in enumerate(pts):
-        for q in pts[i + 1 :]:
-            yield frozenset((p, q))
-
-
 def line_through(plane: Plane, p: str, q: str) -> frozenset[str] | None:
-    """The stored line through two distinct points, or None."""
-    return plane.line_of_pair.get(frozenset((p, q)))
+    """The stored line through two distinct points, or None (also when the
+    points are equal or either is not in the plane)."""
+    if p != q:
+        for line in plane.lines_through.get(p, ()):
+            if q in line:
+                return line
+    return None
 
 
 def _as_subset(plane: Plane, subset: Iterable[str] | None, what: str) -> frozenset[str]:

@@ -176,6 +176,27 @@ def oracle_embeddings(sub, sup, fixed=None) -> list:
     return out
 
 
+def oracle_placement_order(sub, fixed) -> list:
+    """The free points of sub in the embedding search's placement order,
+    counted pair by pair: next comes the point with the most placed points
+    on a common stored line, then the most lines, then the greatest name.
+    Each pair is looked up by a scan of every line."""
+    placed = set(fixed)
+    order = []
+    remaining = set(sub.points) - placed
+
+    def priority(p):
+        shared = sum(1 for q in placed if any({p, q} <= line for line in sub.lines))
+        return shared, sum(1 for line in sub.lines if p in line), p
+
+    while remaining:
+        best = max(remaining, key=priority)
+        order.append(best)
+        placed.add(best)
+        remaining.remove(best)
+    return order
+
+
 def oracle_validate(plane) -> None:
     """The structural checks with the line axiom tested pair by pair.
 
@@ -247,7 +268,7 @@ def is_subgeometry(sub, sup) -> bool:
 
 def rank2_flats(plane) -> frozenset:
     """Stored lines plus the trivial pair flats not covered by any line."""
-    covered = plane.line_of_pair
+    covered = {frozenset(pq) for line in plane.lines for pq in combinations(line, 2)}
     pairs = map(frozenset, combinations(plane.points, 2))
     return plane.lines | frozenset(p for p in pairs if p not in covered)
 

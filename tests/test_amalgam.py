@@ -27,6 +27,7 @@ from planeforge import (
     icl,
     is_primitive,
     is_strong,
+    line_through,
     make_plane,
     restrict,
     sharp_step,
@@ -294,6 +295,26 @@ def test_sharp_step_embedding_side():
     assert out.mapping == {"p": "p", "q": "q", "x": "y"}
 
 
+def test_sharp_step_solves_the_first_strength_check_once(monkeypatch):
+    # Primitivity over C is tested after C is known to be strong in the
+    # first plane, so that min-cut is not solved again for it.
+    solves = []
+    min_delta = predim._min_delta
+
+    def counted(plane, seed, universe):
+        solves.append((plane, seed, universe))
+        return min_delta(plane, seed, universe)
+
+    monkeypatch.setattr(predim, "_min_delta", counted)
+    ext = make_plane("abcdef", ["adf", "cde", "bef"])  # figure 2 over abc
+    base = make_plane("abcghi", ["agi", "cgh", "bhi"])
+    assert isinstance(sharp_step(ext, base, frozenset("abc")), FreeAmalgam)
+    # C strong in ext, one icl per new point, C strong in the base, and
+    # the amalgam's K0 test
+    assert len(solves) == 6
+    assert solves.count((ext, frozenset("abc"), ext.points)) == 1
+
+
 def test_sharp_step_degenerate_identity():
     base = make_plane("ab")
     out = sharp_step(make_plane("a"), base, frozenset("a"))
@@ -505,7 +526,7 @@ def _wedge_broken(plane, c):
     free = [
         frozenset(pq)
         for pq in combinations(sorted(c), 2)
-        if frozenset(pq) not in plane.line_of_pair
+        if line_through(plane, *pq) is None
     ]
     for p1, p2 in combinations(free, 2):
         if not p1 & p2:

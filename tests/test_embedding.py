@@ -8,6 +8,7 @@ import planeforge.embedding as embedding_module
 from planeforge import (
     PreconditionError,
     are_isomorphic,
+    build_generic,
     embeddings,
     enumerate_planes,
     find_embedding,
@@ -16,7 +17,7 @@ from planeforge import (
 )
 
 from .conftest import random_plane
-from .oracles import oracle_embeddings
+from .oracles import oracle_embeddings, oracle_placement_order
 from .test_predim import AG23
 
 
@@ -179,6 +180,18 @@ def test_enumeration_order_is_pinned():
         digest.update(repr(_as_items(embeddings(sub, sup, fixed))).encode())
         digest.update(b"\n")
     assert digest.hexdigest() == "3f1acd1ce8fedcea4d6a510f10534df19ade604203c6f5173e89486c871c854c"
+
+
+def test_placement_order_matches_pair_count_oracle():
+    rng = random.Random(30)
+    planes = [random_plane(rng) for _ in range(150)]
+    planes += list(enumerate_planes(5)) + [build_generic(40, 2).final]
+    for sub in planes:
+        pts = sorted(sub.points)
+        for size in {0, rng.randint(0, len(pts)), rng.randint(0, len(pts))}:
+            fixed = frozenset(rng.sample(pts, size))
+            got = embedding_module._placement_order(sub, fixed)
+            assert got == oracle_placement_order(sub, fixed), (sub, fixed)
 
 
 def test_search_prunes_dense_targets(monkeypatch, fano):

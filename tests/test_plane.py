@@ -2,6 +2,8 @@ import gc
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 import weakref
 from itertools import combinations
 
@@ -10,6 +12,7 @@ import pytest
 from planeforge import (
     InvalidPlaneError,
     PreconditionError,
+    build_generic,
     canonical_key,
     closure,
     line_through,
@@ -19,7 +22,7 @@ from planeforge import (
     validate,
 )
 
-from .conftest import library_env, random_lines
+from .conftest import library_env, random_lines, random_plane
 from .oracles import (
     is_subgeometry,
     is_wedge_subgeometry,
@@ -248,9 +251,46 @@ def test_rank2_flats_counts(fano):
     assert rank2_flats(free) == {frozenset("ab"), frozenset("ac"), frozenset("bc")}
 
 
+def _scanned_line(plane, p, q):
+    """The stored line holding p and q, by a scan of every line."""
+    if p == q:
+        return None
+    return next((line for line in plane.lines if {p, q} <= line), None)
+
+
 def test_line_through(fig2):
-    assert line_through(fig2, "a", "d") == frozenset("adf")
-    assert line_through(fig2, "a", "b") is None
+    for p, q in ("ad", "da", "fa"):  # a covered pair, in both orders
+        assert line_through(fig2, p, q) == frozenset("adf")
+    assert line_through(fig2, "a", "b") is None  # an uncovered pair
+    assert line_through(fig2, "a", "a") is None  # a is on a line
+    assert line_through(make_plane("a"), "a", "a") is None
+    for p, q in (("a", "z"), ("z", "a"), ("y", "z")):  # z and y are not in the plane
+        assert line_through(fig2, p, q) is None
+    rng = random.Random(30)
+    planes = [random_plane(rng) for _ in range(60)] + [build_generic(40, 2).final]
+    for plane in planes:
+        names = sorted(plane.points) + ["zz"]
+        for p in names:
+            for q in names:
+                assert line_through(plane, p, q) == _scanned_line(plane, p, q), (p, q)
+
+
+def test_line_through_on_a_long_line_builds_no_pair_index():
+    # Nothing a plane keeps may grow with the square of a line's length:
+    # one 2,000-point line has about two million pairs.
+    line = [f"p{i}" for i in range(2000)]
+    plane = make_plane([*line, "x", "y"], [line])
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        assert line_through(plane, "p0", "p1999") == frozenset(line)
+        assert line_through(plane, "x", "y") is None
+        elapsed = time.perf_counter() - started
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 4 * 2**20
+    assert elapsed < 1.0
 
 
 def test_incidence_indices_die_with_their_plane():
