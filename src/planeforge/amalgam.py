@@ -11,27 +11,31 @@ by their shared trace.
 The lines meeting C twice are picked out by C-trace (_based_among), and
 the shared part is checked on those traces alone (_shared_traces): C must
 be the point intersection, and the traces of >= 3 points, which are the
-lines of the plane C induces, must match.  Both amalgams and sharp_step
-check C this way.
+lines of the plane C induces, must match.
 
-There is one canonical glue, _glued, run by canonical_amalgam and by the
-builder's step (generic._Builder.fire) alike.  It takes the first side as
-its points and its lines by id, reads only the lines of it meeting C
-twice, makes the shared-part and additivity checks, and returns the
-amalgam as step data: the new points, the new lines, and the first side's
-lines that take new points or are identified with a longer line (_step
-turns that into the lines added, dropped and identified).  Wedge condition
-(b) follows from C being strong on both sides, which the builder's
-invariants give at every step (the proof is in _glued), so only
-canonical_amalgam, which glues planes it knows nothing about, checks it.
+There is one glue, _glued, the only code that merges lines by shared
+C-trace, run by both amalgams, sharp_step and the builder's step
+(generic._Builder.fire).  Each checks its sides once before it glues: the
+amalgams through _sides (both inputs validated, the first side's lines
+meeting C twice read in one pass, C checked), the builder on the traces it
+keeps per base instance, its copy valid by proof.  The glue checks only
+additivity and returns the amalgam as step data: the new points, the new
+lines, and the first side's lines that take new points or are identified
+with a longer line (_step turns that into the lines added, dropped and
+identified).  Errors come in one order: invalid input, shared part,
+free_amalgam's pair collision, canonical_amalgam's wedge check,
+additivity, and last free_amalgam's clash off C.  Wedge condition (b)
+follows from C being strong on both sides, which the builder's invariants
+give at every step (the proof is in _glued), so only canonical_amalgam,
+which glues planes it knows nothing about, checks it.
 
-canonical_amalgam requires valid input planes and validates them first;
 validate remembers success on a plane, so a plane that is already known to
-be valid (a previous amalgam, say) costs nothing.  Its own output is then
-valid by proof rather than by a whole-plane check: the wedge check reads
-the traces the shared-part check computed, and additivity is checked by an
-exact identity over the step's lines, never by a whole-plane delta.
-free_amalgam has no wedge precondition, so it validates its union whole.
+be valid (a previous amalgam, say) costs nothing.  canonical_amalgam's
+output is valid by proof rather than by a whole-plane check: the wedge
+check reads the traces the shared-part check computed, and additivity is
+checked by an exact identity over the step's lines, never by a
+whole-plane delta.  free_amalgam has no wedge precondition, so it
+validates its union whole.
 """
 
 from __future__ import annotations
@@ -147,14 +151,30 @@ def _nullity(lines: Collection[AbstractSet[str]]) -> int:
     return sum(map(len, lines)) - 2 * len(lines)
 
 
-def _glued(old: AbstractSet[str], lines: list, meeting: set, b: Plane, c: frozenset):
-    """The canonical amalgam of a valid first side (points ``old``, lines by
-    id) and ``b`` over ``c`` as step data: the new points, the new lines,
-    and (id, gain) per first-side line whose C-trace a line of b has, gain
-    its new points, when some or the first-side line is longer.  Only the
-    first-side lines ``meeting`` C twice are read.  b is validated first,
-    then C and additivity are checked, in that order; additivity is from
-    counts (see canonical_amalgam).
+def _sides(a: Plane, b: Plane, c: frozenset, op: str):
+    """The amalgams' one entry check: a and b validated, then C checked
+    (messages naming ``op``).  Returns a's lines by id, its lines meeting C
+    twice by C-trace -> id, and b's by C-trace -> line, as _glued takes
+    them."""
+    validate(a)
+    validate(b)
+    lines, based = list(a.lines), {}
+    for i, line in enumerate(lines):
+        if len(trace := line & c) >= 2:
+            based[trace] = i
+    return lines, based, _shared_traces(a.points, based, b, c, op)
+
+
+def _glued(
+    old: AbstractSet[str], lines: list, based: dict, b: Plane, based_b: _Traces, c: frozenset
+):
+    """The canonical amalgam of a first side (points ``old``, lines by id,
+    those meeting C twice ``based`` by C-trace -> id) and ``b`` (its lines
+    meeting C twice ``based_b`` by C-trace) over ``c`` as step data: the new
+    points, the new lines, and (id, gain) per first-side line whose C-trace
+    a line of b has, gain its new points, when some or the first-side line
+    is longer.  Both sides come valid and C checked (see _sides), so only
+    additivity is checked, from counts (see canonical_amalgam).
 
     Wedge condition (b) on each side is not checked here; it holds wherever
     C is strong.  canonical_amalgam checks it on its inputs before it glues.
@@ -180,9 +200,6 @@ def _glued(old: AbstractSet[str], lines: list, meeting: set, b: Plane, c: frozen
        gives the copy side.  Seeds glue over the empty set, which no line
        meets twice.
     """
-    validate(b)
-    based = {c & lines[i]: i for i in meeting}
-    based_b = _shared_traces(old, based, b, c, "canonical_amalgam")
     new_lines = list(b.lines.difference(based_b.values()))
     extended = []
     for trace, line in based_b.items():
@@ -234,49 +251,47 @@ def _step(lines: list, base: frozenset, added, new_lines, extended) -> _Step:
 
 
 def _successor(plane: Plane, step: _Step) -> Plane:
-    """``plane`` with ``step`` applied, marked valid: the output of the
-    canonical glue, valid by proof (see canonical_amalgam)."""
-    out = Plane(
+    """``plane`` with ``step`` applied."""
+    return Plane(
         plane.points | step.added,
         plane.lines.symmetric_difference([*step.added_lines, *step.dropped_lines]),
     )
-    _record_valid(out)
-    return out
+
+
+def _free(
+    a: Plane, b: Plane, c: frozenset, lines: list, based: dict, based_b: _Traces
+) -> AmalgamResult:
+    """free_amalgam on checked sides (see _sides)."""
+    pairs = [sorted(t) for t in based_b if len(t) == 2 and t in based]
+    if pairs:
+        trace = frozenset(min(pairs))
+        raise ExchangeViolation(
+            f"lines {sorted(lines[based[trace]])} and {sorted(based_b[trace])} both "
+            f"extend the shared pair {sorted(trace)}"
+        )
+    step = _step(lines, c, *_glued(a.points, lines, based, b, based_b, c))
+    out = _successor(a, step)
+    try:
+        validate(out)
+    except InvalidPlaneError as exc:  # cross-class collision outside C
+        raise ExchangeViolation(str(exc)) from exc
+    return AmalgamResult(out, "free", step.identified)
 
 
 def free_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
     """Union of the two planes over their shared part, no gluing beyond it.
 
-    A broken input is reported by validate, not as a collision of the
-    union.  When a shared pair carries a line on both sides, the two lines
-    would collide; the least such pair, by its sorted points, is reported.
-    Otherwise the traces both sides share are the lines of C, and each
-    pair of lines carrying one merges into their union; the union has no
-    wedge precondition, so it is validated whole.
+    The sides are checked once (_sides), so a broken input is reported by
+    validate, not as a collision of the union.  When a shared pair carries
+    a line on both sides, the two lines would collide; the least such pair,
+    by its sorted points, is reported.  Otherwise the traces both sides
+    share are the lines of C, and the glue (_glued) merges each pair of
+    lines carrying one into their union.  The union has no wedge
+    precondition, so it is validated whole, last: a clash off C is an
+    ExchangeViolation.
     """
-    validate(a)
-    validate(b)
     c = frozenset(shared)
-    based_a = _based_among(a.lines, c)
-    based_b = _shared_traces(a.points, based_a, b, c, "free_amalgam")
-    common = based_a.keys() & based_b.keys()
-    pairs = [sorted(t) for t in common if len(t) == 2]
-    if pairs:
-        trace = frozenset(min(pairs))
-        raise ExchangeViolation(
-            f"lines {sorted(based_a[trace])} and {sorted(based_b[trace])} both "
-            f"extend the shared pair {sorted(trace)}"
-        )
-    identified = frozenset(
-        (based_a[t], based_b[t]) for t in common if based_a[t] != based_b[t]
-    )
-    lines = (a.lines | b.lines).difference(*identified)
-    out = Plane(a.points | b.points, lines.union(la | lb for la, lb in identified))
-    try:
-        validate(out)
-    except InvalidPlaneError as exc:  # cross-class collision outside C
-        raise ExchangeViolation(str(exc)) from exc
-    return AmalgamResult(out, "free", identified)
+    return _free(a, b, c, *_sides(a, b, c, "free_amalgam"))
 
 
 def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResult:
@@ -302,27 +317,24 @@ def canonical_amalgam(a: Plane, b: Plane, shared: Iterable[str]) -> AmalgamResul
     the extended lines gain; both sides are counts over the step's lines
     and b's, never a whole-plane delta.
 
-    The glue is the builder's (_glued), with a's lines by id; its step data
-    is applied to a (see _step).  The glue checks no wedge condition, so
-    the wedge checks sit here, after the shared part and before additivity:
-    a and b are validated and C is checked, then wedge (b) on the first
-    side and on the second, then the glue runs (its checks of b and C pass
-    again) and checks additivity.
+    Each check runs once, in this order: a and b are validated and C is
+    checked (_sides), then wedge (b) on the first side and on the second,
+    then the glue (_glued) checks additivity; its step data is applied to
+    a (see _step).
     """
-    validate(a)
-    validate(b)
-    c, lines = frozenset(shared), list(a.lines)
-    meeting = {i for i, line in enumerate(lines) if len(line & c) >= 2}
-    based = {c & lines[i]: lines[i] for i in meeting}
-    based_b = _shared_traces(a.points, based, b, c, "canonical_amalgam")
-    for name, side in {"first": based, "second": based_b}.items():
+    c = frozenset(shared)
+    lines, based, based_b = _sides(a, b, c, "canonical_amalgam")
+    first = {trace: lines[i] for trace, i in based.items()}
+    for name, side in {"first": first, "second": based_b}.items():
         if not _wedge(side):
             raise NotWedgeSubgeometry(
                 f"canonical_amalgam: shared part is not wedge-compatible "
                 f"in the {name} plane"
             )
-    step = _step(lines, c, *_glued(a.points, lines, meeting, b, c))
-    return AmalgamResult(_successor(a, step), "canonical", step.identified)
+    step = _step(lines, c, *_glued(a.points, lines, based, b, based_b, c))
+    out = _successor(a, step)
+    _record_valid(out)
+    return AmalgamResult(out, "canonical", step.identified)
 
 
 def _smallest_step(plane: Plane, lo: frozenset[str], up: frozenset[str]) -> frozenset[str]:
@@ -406,12 +418,11 @@ def sharp_step(
     primitive over it.  Returns the free amalgam whenever it is valid and
     hereditarily nonnegative; otherwise a strong embedding of the first
     plane into the second over the shared part.  One of the two always
-    exists.  Both inputs are validated first, as the amalgams do.
+    exists.  The sides are checked first, once (_sides), and the free
+    amalgam is tried on them.
     """
-    validate(a)
-    validate(b)
     c = frozenset(shared)
-    _shared_traces(a.points, _based_among(a.lines, c), b, c, "sharp_step")
+    sides = _sides(a, b, c, "sharp_step")
     if not is_strong(a, c):
         raise NotStrong("sharp_step: shared part must be strong in the first plane")
     if _smallest_step(a, c, a.points) != a.points:  # is_primitive, minus the check above
@@ -421,7 +432,7 @@ def sharp_step(
     if a.points == c:
         return StrongEmbedding({p: p for p in sorted(c)})
     try:
-        free = free_amalgam(a, b, c)
+        free = _free(a, b, c, *sides)
     except ExchangeViolation:
         free = None
     if free is not None and in_K0(free.plane):

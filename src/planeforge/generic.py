@@ -14,16 +14,17 @@ decided from delta increments while they are generated, so the tiers solve
 no min-cut (see census._strong_line_sets); each census base's labelling is
 read off its letters.
 The builder keeps one stage as mutable sets, each line under an int id,
-with a point -> line ids index.  A step glues the renamed copy onto its
-base instance C in place with the canonical glue that canonical_amalgam
-runs too (see amalgam._glued): a copy line with the C-trace
-(of at least 2 points) of a stage line adds its new points to that line,
-and every other copy line is a new line.  So a step reads only the stage
-lines through C and writes only its own points.  Its checks are the glue's
-(wedge condition (b) holds by proof, see amalgam._glued) and the builder's
-own, exact but local (see _Builder.fire): the old stage is strong in the
-new one, by the census's delta-slack test on the step's lines (a min-cut
-only for a step of more than EXTENSION_CAP points), and induced in it.
+with a point -> line ids index and, per base instance C, the stage lines
+through two points of C by C-trace.  A step checks C on those traces and
+glues the renamed copy onto C in place with the amalgams' glue (see
+amalgam._glued): a copy line with the C-trace (of at least 2 points) of
+a stage line adds its new points to that line, and every other copy line
+is a new line.  So a step reads only the stage lines through C and writes
+only its own points.  Its checks are C, the glue's (wedge condition (b)
+holds by proof, see amalgam._glued) and the builder's own, exact but
+local (see _Builder.fire): the old stage is strong in the new one, by the
+census's delta-slack test on the step's lines (a min-cut only for a step
+of more than EXTENSION_CAP points), and induced in it.
 K0 is never solved per step: a plane with a strong, induced subplane in
 K0 is itself in K0 (see _Builder.fire), so every stage is in K0 by proof.
 No stage or glued copy is validated either: both are valid by proof.
@@ -51,11 +52,13 @@ from typing import AbstractSet
 
 from .amalgam import (
     _glued,
+    _shared_traces,
     _step,
     _Step,
     _successor,
     canonical_amalgam,
     classify_primitive,
+    d_independent,
     decompose,
     is_primitive,
 )
@@ -152,6 +155,7 @@ class ExtensionChain:
         yield stage
         for step in self.changes():
             stage = _successor(stage, step)
+            _record_valid(stage)
             yield stage
 
     @cached_property
@@ -171,17 +175,16 @@ class _TypePair:
 
 
 class _Builder:
-    def __init__(self, ext_bound: int):
-        self.ext_bound = ext_bound
+    def __init__(self):
         # the current stage, changed in place; a line's place is its id, and
         # a line stays the copy's frozenset until it first gains points
         self.points: set[str] = set()
         self.lines: list[AbstractSet[str]] = []
         # point -> ids of the stage lines through it
         self.through: dict[str, set[int]] = {}
-        # instance points -> ids of the stage lines through two of them, and
-        # point -> the instances holding it, from each instance's first step
-        self.meeting: dict[frozenset, set[int]] = {}
+        # instance points -> the stage lines through two of them by trace,
+        # and point -> the instances holding it, from each instance's first step
+        self.based: dict[frozenset, dict[frozenset, int]] = {}
         self.watched: dict[str, list[frozenset]] = {}
         self.records: list[StepRecord] = []
         self.counter = 0
@@ -229,21 +232,25 @@ class _Builder:
                 )
         return self.instances.get(key)
 
-    def _meeting(self, c: frozenset) -> set[int]:
-        """The ids of the stage lines through two points of the instance
-        ``c``, from the index at its first step, then kept by fire: only a
-        new line through two old points can join them."""
-        if c not in self.meeting:
-            seen, self.meeting[c] = set(), set()
+    def _based(self, c: frozenset) -> dict[frozenset, int]:
+        """The stage lines through two points of the instance ``c`` by
+        C-trace -> id, from the index at its first step, then kept by fire:
+        a line gains only new points, so its trace stays, and only a new
+        line through two old points can join them."""
+        if c not in self.based:
+            seen, meeting = set(), set()
             for p in c:
                 ids = self.through.get(p, ())
-                self.meeting[c] |= seen.intersection(ids)
+                meeting |= seen.intersection(ids)
                 seen.update(ids)
                 self.watched.setdefault(p, []).append(c)
-        return self.meeting[c]
+            self.based[c] = {c & self.lines[i]: i for i in meeting}
+        return self.based[c]
 
-    def fire(self, base_key, base_label: dict, template: Plane) -> None:
-        inst_points, inst_map = self.instance(base_key)
+    def fire(self, instance: tuple, base_label: dict, template: Plane) -> None:
+        """Glue a renamed copy of ``template`` onto ``instance``, as
+        instance() returned it for the base type."""
+        inst_points, inst_map = instance
         rename = {p: inst_map[i] for p, i in base_label.items()}
         for p in sorted(template.points.difference(rename)):
             self.counter += 1
@@ -255,13 +262,14 @@ class _Builder:
         )
         # The template is valid (free: census templates are marked, seeds
         # checked), so the copy is: the renaming is injective and uses only
-        # instance points and fresh x<n> names.  So _glued's validate is free,
-        # and wedge (b) needs no check: C is strong on both sides (see _glued).
+        # instance points and fresh x<n> names.  Wedge (b) needs no check: C
+        # is strong on both sides (see _glued).
         validate(template)
         _record_valid(concrete)
         old, lines, through = self.points, self.lines, self.through
-        meeting = self._meeting(inst_points)  # kept up to date below
-        added, new_lines, extended = _glued(old, lines, meeting, concrete, inst_points)
+        based = self._based(inst_points)  # kept up to date below
+        based_b = _shared_traces(old, based, concrete, inst_points, "canonical_amalgam")
+        added, new_lines, extended = _glued(old, lines, based, concrete, based_b, inst_points)
         # The new stage is in K0 by proof.  delta is submodular, so for every
         # X inside it, delta(X) >= delta(X | S) - delta(S) + delta(X & S)
         # with S the old stage's points.  S is strong, so delta(X | S) >=
@@ -303,8 +311,8 @@ class _Builder:
             if len(ends := line - added) == 2:  # a new line through two old points
                 p, q = ends
                 for c in self.watched.get(p, ()):
-                    if q in c:
-                        self.meeting[c].add(len(lines))
+                    if q in c:  # its trace on c is exactly {p, q}
+                        self.based[c][ends] = len(lines)
             lines.append(line)
         self.records.append(
             StepRecord(len(self.records), inst_points, added, template, new_lines, extended)
@@ -376,8 +384,8 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
             f"extension bound capped at {EXTENSION_CAP}, requested {ext_bound}"
         )
 
-    builder = _Builder(ext_bound)
-    empty_key = canonical_key(make_plane(()))
+    builder = _Builder()
+    empty = builder.instance(canonical_key(make_plane(())))
 
     for seed in seeds:
         if len(builder.records) >= steps:
@@ -385,7 +393,7 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
         validate(seed)
         if not in_K0(seed):
             raise PreconditionError("seed template is not hereditarily nonnegative")
-        builder.fire(empty_key, {}, seed)
+        builder.fire(empty, {}, seed)
 
     # Each round offers every pushed-back pair once, in order, then the next
     # census tier's pairs as they are generated; past the last tier, rounds
@@ -402,10 +410,11 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
             tier_pairs = ()
         offered, pending, fired = chain(pending, tier_pairs), [], False
         for pair in offered:
-            if builder.instance(pair.base_key) is None:
+            instance = builder.instance(pair.base_key)
+            if instance is None:
                 pending.append(pair)
                 continue
-            builder.fire(pair.base_key, pair.base_label, pair.template)
+            builder.fire(instance, pair.base_label, pair.template)
             fired = True
             if len(builder.records) >= steps:
                 break
@@ -695,8 +704,6 @@ def witness_not_one_based() -> WitnessBundle:
     b = c | {"q1"}
     d_ac = d_rel(plane, frozenset({"q2"}), c)
     d_ab = d_rel(plane, a, b)
-    from .amalgam import d_independent
-
     assertions = (
         ("C is strong in A", is_strong(plane, c, a)),
         ("A is strong in the plane", is_strong(plane, a)),

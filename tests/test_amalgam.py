@@ -34,6 +34,7 @@ from planeforge import (
     validate,
 )
 from planeforge import amalgam, predim
+import planeforge.plane as plane_mod
 import planeforge.generic as generic_mod
 
 from .conftest import library_env, random_lines, random_plane
@@ -313,6 +314,48 @@ def test_sharp_step_solves_the_first_strength_check_once(monkeypatch):
     # the amalgam's K0 test
     assert len(solves) == 6
     assert solves.count((ext, frozenset("abc"), ext.points)) == 1
+
+
+@pytest.mark.parametrize("op", [canonical_amalgam, free_amalgam, sharp_step])
+def test_each_amalgam_reads_and_checks_its_sides_once(monkeypatch, op):
+    # One entry check per call (amalgam._sides): each input's structure is
+    # checked once, a's lines are read once, and the shared part is checked
+    # in one pass over b's lines, whether the glue runs, a pair collides
+    # (free) or the free amalgam gives way to an embedding (sharp_step).
+    calls, checked = Counter(), []
+    check = plane_mod._check_structure
+
+    def counted(name):
+        real = getattr(amalgam, name)
+
+        def spied(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return spied
+
+    def structure(plane):
+        checked.append(plane)
+        check(plane)
+
+    for name in ("_shared_traces", "_based_among"):
+        monkeypatch.setattr(amalgam, name, counted(name))
+    monkeypatch.setattr(plane_mod, "_check_structure", structure)
+    cases = [
+        ("abcdef", ["adf", "cde", "bef"], "abcghi", ["agi", "cgh", "bhi"], "abc"),
+        ("pqx", ["pqx"], "pqy", ["pqy"], "pq"),  # glued, or a collision
+    ]
+    for points_a, lines_a, points_b, lines_b, c in cases:
+        # fresh inputs, never validated before
+        a, b = make_plane(points_a, lines_a), make_plane(points_b, lines_b)
+        calls.clear()
+        checked.clear()
+        try:
+            op(a, b, frozenset(c))
+        except ExchangeViolation:
+            assert op is free_amalgam
+        assert calls == {"_shared_traces": 1, "_based_among": 1}, (op, c)
+        assert sum(p is a for p in checked) == 1 and sum(p is b for p in checked) == 1
 
 
 def test_sharp_step_degenerate_identity():

@@ -1,9 +1,11 @@
+import collections
 import contextlib
 import hashlib
 import io
 import itertools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -920,3 +922,114 @@ def test_readme_calls_are_read_directly():
 )
 def test_benchmark_calls_are_read_directly(argv):
     _read_like_argparse(argv)
+
+
+# --- the exit-code contract under mutated files and odd argv ----------------
+
+_FUZZ_VERBS = {  # verb -> its argv after the verb; "A" and "B" are plane files
+    "validate": ["A"],
+    "report": ["A"],
+    "delta": ["A", "--subset", "S"],
+    "alpha": ["A", "--subset", "S"],
+    "icl": ["A", "--subset", "S", "--within", "W"],
+    "strong": ["A", "--subset", "S", "-k", "K"],
+    "decompose": ["A", "--lower", "S", "--upper", "W"],
+    "audit": ["A", "--radius", "1"],
+    "embed": ["A", "B"],
+}
+_ODD_NAMES = ["#", "a#b", "x\x00y", "é", "p q", "-", "--x", "a b", "\t"]
+_ODD_INTS = ["0", "3", "-1", "9" * 30, "x", "1.5", ""]
+
+
+def _mutated_file(rng, text: str) -> bytes:
+    """A data file's text with one or two of: a line dropped or doubled, a
+    stray "\\r", a bad name, a directive without its values, a line through
+    two points of another, bytes that are not UTF-8."""
+    lines = text.split("\n")
+    raw = None
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(lines))
+        kind = rng.choice(["drop", "double", "cr", "name", "bare", "clash", "bytes"])
+        if kind == "drop":
+            del lines[i]
+        elif kind == "double":
+            lines.insert(i, lines[i])
+        elif kind == "cr":
+            j = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:j] + "\r" + lines[i][j:]
+        elif kind == "name" and (words := lines[i].split()):
+            words[rng.randrange(len(words))] = rng.choice(_ODD_NAMES)
+            lines[i] = " ".join(words)
+        elif kind == "bare" and (words := lines[i].split()):
+            lines[i] = words[0]
+        elif kind == "clash" and (line := next((l for l in lines if l[:5] == "line "), "")):
+            lines += ["points zz", " ".join(line.split()[:3] + ["zz"])]
+        elif kind == "bytes":
+            raw = rng.choice([b"\xff", b"\xc3", b"\xed\xa0\x80"])
+        if not lines:
+            lines = [""]
+    data = "\n".join(lines).encode("utf-8", "surrogatepass")
+    if raw is not None:
+        j = rng.randint(0, len(data))
+        data = data[:j] + raw + data[j:]
+    return data
+
+
+def _odd_argv(rng, argv: list, names: list) -> list:
+    """Fill a verb's argv with subsets of ``names`` (now and then an unknown
+    or odd name) and odd ints, then maybe join an option to its value with
+    "=", drop a value or an argument, or add a stray one."""
+    def subset():
+        picked = rng.sample(names, rng.randint(0, min(3, len(names))))
+        if rng.random() < 0.2:
+            picked.append(rng.choice(["zz", *_ODD_NAMES]))
+        return " ".join(picked)
+
+    argv = [
+        subset() if a in ("S", "W") else rng.choice(_ODD_INTS) if a == "K" else a
+        for a in argv
+    ]
+    odd = rng.choice(["none", "none", "equals", "drop", "extra", "repeat"])
+    options = [i for i, a in enumerate(argv) if a.startswith("-") and i + 1 < len(argv)]
+    if odd == "equals" and options:
+        i = rng.choice(options)
+        argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif odd == "drop" and argv:
+        del argv[rng.randrange(len(argv))]
+    elif odd == "extra":
+        argv.insert(rng.randint(0, len(argv)), rng.choice(["--bogus", "extra", "-", ""]))
+    elif odd == "repeat" and options:
+        i = rng.choice(options)
+        argv += argv[i : i + 2]
+    return argv
+
+
+def test_exit_codes_hold_for_mutated_files_and_odd_argv(tmp_path, capsys):
+    # Every outcome is exit 0, 1 or 2 (argparse's SystemExit by its code),
+    # nothing escapes main, and nothing is printed to stdout on exit 2.
+    rng = random.Random(2026)
+    sources = {path.name: path.read_text(encoding="utf-8") for path in DATA.glob("*.plane")}
+    codes, bad = collections.Counter(), []
+    for case in range(800):
+        verb = rng.choice(sorted(_FUZZ_VERBS))
+        files, texts = {}, {}
+        for slot in ("A", "B"):
+            texts[slot] = text = sources[rng.choice(sorted(sources))]
+            path = tmp_path / f"{case}{slot}.plane"
+            path.write_bytes(text.encode() if rng.random() < 0.5 else _mutated_file(rng, text))
+            files[slot] = str(path)
+        names = sorted(parse_plane(texts["A"])[1].points)
+        argv = [verb, *_odd_argv(rng, _FUZZ_VERBS[verb], names)]
+        argv = [files.get(a, a) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # noqa: BLE001 - the contract forbids any
+            code = repr(exc)
+        out = capsys.readouterr().out
+        codes[code] += 1
+        if code not in (0, 1, 2) or (code == 2 and out):
+            bad.append((argv, code, out))
+    assert not bad, bad[:5]
+    assert all(codes[c] >= 20 for c in (0, 1, 2)), codes

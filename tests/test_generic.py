@@ -322,6 +322,37 @@ def test_build_never_rechecks_a_stage(monkeypatch, nd10):
     assert all(stage.__dict__.get("_valid") for stage in (*stages, chain.final))
 
 
+def test_builder_checks_each_step_once_and_its_glue_checks_nothing(monkeypatch, nd10):
+    # fire checks the shared part once per step, on the traces it keeps per
+    # instance, and hands the glue checked sides: the glue itself validates
+    # nothing and checks no shared part.
+    shared, validated, inside = [], [], []
+    real_shared, real_validate = amalgam_mod._shared_traces, amalgam_mod.validate
+    glue = generic_mod._glued
+
+    def counted_shared(*args):
+        shared.append(args)
+        return real_shared(*args)
+
+    def counted_validate(plane):
+        validated.append(plane)
+        real_validate(plane)
+
+    def spied(*args):
+        before = len(shared), len(validated)
+        out = glue(*args)
+        inside.append((len(shared), len(validated)) != before)
+        return out
+
+    monkeypatch.setattr(amalgam_mod, "_shared_traces", counted_shared)
+    monkeypatch.setattr(generic_mod, "_shared_traces", counted_shared)
+    monkeypatch.setattr(amalgam_mod, "validate", counted_validate)
+    monkeypatch.setattr(generic_mod, "_glued", spied)
+    build_generic(200, 2, seeds=[nd10])
+    assert len(shared) == 200
+    assert inside == [False] * 200
+
+
 # A two-step build (the ten-point seed, then two free points) whose second
 # step is corrupted after the glue (amalgam._glued, as generic calls it): each
 # case adds new lines and (old line, gain) extensions to the step data.  fire
@@ -368,8 +399,8 @@ REAL_GLUE = generic._glued
 
 
 def corrupting(new_lines, extended, seed_step=False):
-    def glue(old, lines, meeting, copy, c):
-        added, new, grown = REAL_GLUE(old, lines, meeting, copy, c)
+    def glue(old, lines, based, copy, based_copy, c):
+        added, new, grown = REAL_GLUE(old, lines, based, copy, based_copy, c)
         if bool(old) == seed_step:  # the step not corrupted: keep it
             return added, new, grown
         more = tuple((lines.index(line), frozenset(gain)) for line, gain in extended)
@@ -426,8 +457,8 @@ def test_fire_rejects_a_successor_that_drops_stage_points(monkeypatch):
     # the strength nor the inducedness check sees it.
     glue = generic_mod._glued
 
-    def dropping(old, lines, meeting, copy, c):
-        added, new_lines, extended = glue(old, lines, meeting, copy, c)
+    def dropping(old, lines, based, copy, based_copy, c):
+        added, new_lines, extended = glue(old, lines, based, copy, based_copy, c)
         return added | frozenset(old), new_lines, extended
 
     monkeypatch.setattr(generic_mod, "_glued", dropping)
@@ -556,9 +587,9 @@ def test_registry_labels_lazily_and_keeps_the_first_copy_of_each_type(monkeypatc
     builders, offered = [], []
     init, register = generic_mod._Builder.__init__, generic_mod._Builder._register
 
-    def capture(builder, ext_bound):
+    def capture(builder):
         builders.append(builder)
-        init(builder, ext_bound)
+        init(builder)
 
     def record(builder, copy):
         offered.append(copy)
@@ -623,30 +654,33 @@ def test_seeded_build_labels_only_copies_of_the_asked_shape(monkeypatch, nd10):
 def test_index_fed_glue_matches_a_pass_over_the_stage(
     monkeypatch, steps, ext_bound, seeded, nd10
 ):
-    # The builder hands the glue the ids of the stage lines through the base
-    # from its own index; they and their traces must be those of a pass over
-    # every stage line, so the one wedge test reads the same lines.  The copy
-    # it hands over is marked valid unchecked, so it must be valid, and its
-    # points off the base must be new to the stage.
+    # The builder hands the glue the stage lines through the base by C-trace
+    # from the traces it keeps per instance; the ids and their traces must
+    # be those of a pass over every stage line, so the one wedge test reads
+    # the same lines.  The copy it hands over is marked valid unchecked, so
+    # it must be valid, and its points off the base must be new to the
+    # stage; the copy's traces are those of a pass over its lines.
     glue = generic_mod._glued
-    based = Counter()
+    sizes = Counter()
 
-    def checked(old, lines, meeting, copy, c):
+    def checked(old, lines, based, copy, based_copy, c):
         assert copy.__dict__.get("_valid") is True
         oracle_validate(copy)
         assert (copy.points - c).isdisjoint(old)
         every = [frozenset(line) for line in lines]
-        assert meeting == {i for i, line in enumerate(every) if len(line & c) >= 2}
-        local = {c & lines[i]: i for i in meeting}
+        meeting = {i for i, line in enumerate(every) if len(line & c) >= 2}
+        assert sorted(based.values()) == sorted(meeting)
+        assert all(c & lines[i] == t for t, i in based.items())
         traces = amalgam_mod._based_among(every, c)
-        assert {t: every[i] for t, i in local.items()} == traces
-        based[len(local)] += 1
-        return glue(old, lines, meeting, copy, c)
+        assert {t: every[i] for t, i in based.items()} == traces
+        assert based_copy == amalgam_mod._based_among(copy.lines, c)
+        sizes[len(based)] += 1
+        return glue(old, lines, based, copy, based_copy, c)
 
     monkeypatch.setattr(generic_mod, "_glued", checked)
     build_generic(steps, ext_bound, seeds=[nd10] if seeded else [])
-    assert sum(based.values()) == steps
-    assert based[0] < steps and max(based) >= 3
+    assert sum(sizes.values()) == steps
+    assert sizes[0] < steps and max(sizes) >= 3
 
 
 def test_pairwise_wedge_matches_the_pass_over_every_line():
@@ -720,13 +754,13 @@ def test_builder_steps_meet_wedge_b_on_both_sides(
     named = {"nd10": nd10, "fig2": fig2, "k0": k0}
     glue, verdicts, walked = generic_mod._glued, [], 0
 
-    def spied(old, lines, meeting, copy, c):
+    def spied(old, lines, based, copy, based_copy, c):
         nonlocal walked
-        stage = {c & lines[i]: lines[i] for i in meeting}
+        stage = {t: lines[i] for t, i in based.items()}
         on_copy = amalgam_mod._based_among(copy.lines, c)
         verdicts.append((amalgam_mod._wedge(stage), amalgam_mod._wedge(on_copy)))
         walked += any(s.isdisjoint(t) for s, t in combinations(stage, 2))
-        return glue(old, lines, meeting, copy, c)
+        return glue(old, lines, based, copy, based_copy, c)
 
     monkeypatch.setattr(generic_mod, "_glued", spied)
     chain = build_generic(steps, ext_bound, seeds=[named[s] for s in seeds])
@@ -848,9 +882,9 @@ def test_queue_past_the_last_tier_holds_only_pending_shapes(monkeypatch):
     builders = []
     init = generic_mod._Builder.__init__
 
-    def capture(builder, ext_bound):
+    def capture(builder):
         builders.append(builder)
-        init(builder, ext_bound)
+        init(builder)
 
     monkeypatch.setattr(generic_mod._Builder, "__init__", capture)
     build_generic(100_000, 1)  # runs past the last tier

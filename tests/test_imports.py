@@ -42,3 +42,18 @@ def test_module_imports_alone(module):
         capture_output=True, text=True, env=library_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_loads_neither_string_nor_argparse():
+    # Every process pays for what the package imports; only planeforge.cli
+    # needs argparse, and nothing needs string.
+    script = (
+        "import sys; before = set(sys.modules); import planeforge; "
+        "print(sorted({'string', 'argparse'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=library_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
