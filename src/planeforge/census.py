@@ -13,9 +13,13 @@ new points loses more than |Y| to the lines, and a line never lowers a
 loss, so a branch that breaks this is cut with everything below it.  It
 also takes the new points in first-use order, which keeps the first line
 set of every class over the base.  Both cuts are exact (see
-_strong_line_sets).  The survivors collapse by key, keeping the first line
-set of each key.  A plane's key comes from a branch-and-bound search for
-a least encoding over its refined color classes (_least_encoding).  A key
+_strong_line_sets).  A plane's key comes from a branch-and-bound search
+for a least encoding over its refined color classes (_least_encoding).
+Each class is keyed once: the census buckets its line sets by their
+refined colors, and a search directed at a known key (_order_with) finds
+whether a line set has one of its bucket's keys, so only a line set of a
+new class runs the full search.  The builder labels a queued copy by the
+same directed search for the key it is asked for (_keyed_labeling).  A key
 over the base fixes the base points and takes the least encoding over the
 m! orders of the m <= EXTENSION_CAP new points, read from one table per
 (base, m) group that encodes each line once under every order (see
@@ -47,32 +51,34 @@ _census_cache: dict[int, list[Plane]] = {}
 # canonical form
 
 
-def _color_classes(plane: Plane) -> list[list[str]]:
+def _color_classes(plane: Plane) -> dict[object, list[str]]:
     """Partition points into orbit-respecting classes by iterated refinement.
 
     Starts from the multiset of incident line sizes and refines each point's
     color by the colors it sees along its lines, until the partition is
-    stable.  The returned class order depends only on the color data, never
-    on point names, so isomorphic planes refine to matching class sequences.
+    stable.  Returns each color's class, in color order.  Colors and their
+    order depend only on the color data, never on point names, so
+    isomorphic planes refine to the same colors with matching classes.
+
+    A point's refined color reads each of its lines as the line's size and
+    its sorted colors, the point's own included, so a round sorts each
+    line's colors once.  That splits and orders the points as the colors
+    of the others on each line would: within a class the own color r is
+    the same, and taking one r out of two sorted tuples of one length keeps
+    their order, since the first value whose count differs stays the same.
     """
     through = plane.lines_through
     color: dict[str, object] = {
-        p: tuple(sorted(len(l) for l in through[p])) for p in plane.points
+        p: tuple(sorted(map(len, through[p]))) for p in plane.points
     }
     n_classes = len(set(color.values()))
-    while True:
+    while n_classes < len(color):  # a partition into single points is stable
         rank = {c: i for i, c in enumerate(sorted(set(color.values())))}
+        own = {p: rank[c] for p, c in color.items()}
+        on = {l: (len(l), tuple(sorted(map(own.__getitem__, l)))) for l in plane.lines}
         refined = {
-            p: (
-                rank[color[p]],
-                tuple(
-                    sorted(
-                        (len(l), tuple(sorted(rank[color[q]] for q in l if q != p)))
-                        for l in through[p]
-                    )
-                ),
-            )
-            for p in plane.points
+            p: (r, tuple(sorted(map(on.__getitem__, through[p]))))
+            for p, r in own.items()
         }
         refined_count = len(set(refined.values()))
         if refined_count == n_classes:
@@ -82,7 +88,28 @@ def _color_classes(plane: Plane) -> list[list[str]]:
     groups: dict[object, list[str]] = {}
     for p in sorted(plane.points):
         groups.setdefault(color[p], []).append(p)
-    return [groups[c] for c in sorted(groups)]
+    return {c: groups[c] for c in sorted(groups)}
+
+
+def _choices(plane: Plane) -> tuple[tuple, list[list[str]]]:
+    """A plane's refined colors with their class sizes, in color order, and
+    who may take each label, as _least_encoding takes them.
+
+    The colors are an invariant: isomorphic planes have the same.
+    Labels are assigned in blocks following the classes.  Points on no line
+    all land in one class and never affect the encoding, so they, and
+    every class of one point, keep fixed labels; the other classes are
+    searched.
+    """
+    through = plane.lines_through
+    colors, choices = [], []  # choices[d]: who may take label d, in order
+    for color, cls in _color_classes(plane).items():
+        colors.append((color, len(cls)))
+        if len(cls) == 1 or not through[cls[0]]:
+            choices.extend([p] for p in cls)
+        else:
+            choices.extend([cls] * len(cls))
+    return tuple(colors), choices
 
 
 def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
@@ -90,21 +117,30 @@ def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
 
     The key is (n, encoded line set) under the labelling that minimizes the
     encoding (each line as its sorted labels, the lines sorted), so two
-    planes share it exactly when they are isomorphic.  Labels are assigned in
-    blocks following the refined color classes.  Points on no line all land
-    in one class and never affect the encoding, so they, and every class of
-    one point, keep fixed labels; the other classes are searched (see
-    _least_encoding), and the label returned is the first minimal one.
+    planes share it exactly when they are isomorphic.  The labellings tried
+    follow the refined color classes (see _choices and _least_encoding),
+    and the label returned is the first minimal one.
     """
-    through = plane.lines_through
-    choices: list[list[str]] = []  # choices[d]: who may take label d, in order
-    for cls in _color_classes(plane):
-        if len(cls) == 1 or not through[cls[0]]:
-            choices.extend([p] for p in cls)
-        else:
-            choices.extend([cls] * len(cls))
-    encoding, order = _least_encoding(plane.lines, choices)
+    encoding, order = _least_encoding(plane.lines, _choices(plane)[1])
     return (len(order), encoding), {p: i for i, p in enumerate(order)}
+
+
+def _keyed_labeling(plane: Plane, key: tuple) -> tuple[tuple, dict[str, int]]:
+    """canonical_labeling of ``plane``, looked for first under ``key``.
+
+    A search directed at the key (_order_with) finds the first order whose
+    encoding is the key, which is the first minimal one when the plane has
+    the key, so it is canonical_labeling's label.  A miss runs the full
+    search on the same classes.
+    """
+    choices = _choices(plane)[1]
+    order = None
+    if key[0] == len(choices):
+        order = _order_with(plane, choices, _lines_at(key))
+    if order is None:
+        encoding, order = _least_encoding(plane.lines, choices)
+        key = len(order), encoding
+    return key, {p: i for i, p in enumerate(order)}
 
 
 def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
@@ -113,9 +149,9 @@ def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
 
     ``choices[d]`` lists who may take label d, in order; a point may take
     one label only, and a label with a single choice is fixed.  A line is
-    encoded as its sorted labels, a line set as its sorted lines.  Its one
-    caller is canonical_labeling: a plane's classes can hold up to n!
-    orders, too many to list, while a key over a base has at most
+    encoded as its sorted labels, a line set as its sorted lines.  It keys
+    whole planes only: a plane's classes can hold up to n! orders, too
+    many to list, while a key over a base has at most
     EXTENSION_CAP! orders and reads them from a table (see
     _strong_extensions_exactly).
 
@@ -146,9 +182,15 @@ def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
     try:
         return _descend(choices, on, [len(l) for l in lines], known, [], set(), None)
     except RecursionError:
-        searched = sum(len(c) > 1 for c in choices)
-        msg = f"labelling search: {searched} searched labels exceed the recursion limit"
-        raise BudgetExceeded(msg) from None
+        raise _too_deep(choices) from None
+
+
+def _too_deep(choices: list[list[str]]) -> BudgetExceeded:
+    """The error of a labelling search over ``choices`` that ran out of
+    frames, naming its number of searched labels."""
+    searched = sum(len(c) > 1 for c in choices)
+    msg = f"labelling search: {searched} searched labels exceed the recursion limit"
+    return BudgetExceeded(msg)
 
 
 def _descend(choices, on, sizes, known, order, placed, best):
@@ -179,6 +221,77 @@ def _descend(choices, on, sizes, known, order, placed, best):
     for _ in range(start, d):
         _unplace(on, known, order, placed)
     return best
+
+
+def _order_with(plane: Plane, choices: list[list[str]], lines_at: list) -> list | None:
+    """The first order, in _least_encoding's leaf order over the same
+    ``choices``, under which the lines of ``plane`` encode as a key's
+    encoding, or None; ``lines_at`` is the key's _lines_at.
+
+    The search is _least_encoding's, directed at the key: when a point
+    takes label d, the lines through it, each as its labels below d and
+    its size, must be the key's lines through d.  If so at every label,
+    the lines agree with the key's, each as its labels below the next one,
+    by induction from none; so a leaf reached is an order under which the
+    lines encode as the key.  A point that fails the test is not tried, so
+    only subtrees with no such leaf are cut, and the first leaf reached is
+    the first such order.  When the key is the plane's, that is the first
+    minimal order, the one _least_encoding returns; a miss means the plane
+    does not have the key.  A node reached has the key's lines below its
+    label, so its lower bound (see _lower_bound) is the key's there, at
+    most the key: the search enters no subtree the bound would cut, and
+    reaches no leaf below the key.
+    """
+    known = {line: [] for line in plane.lines}  # each line's labels so far
+    try:
+        return _seek(choices, plane.lines_through, known, [], set(), lines_at)
+    except RecursionError:
+        raise _too_deep(choices) from None
+
+
+def _lines_at(key: tuple) -> list[list]:
+    """Per label of ``key``, the key's lines through it, each as its labels
+    below the label and its size, sorted: what _order_with's test reads."""
+    n, encoding = key
+    lines_at: list[list] = [[] for _ in range(n)]
+    for line in encoding:
+        for i, d in enumerate(line):
+            lines_at[d].append((line[:i], len(line)))
+    for at in lines_at:
+        at.sort()
+    return lines_at
+
+
+def _seek(choices, on, known, order, placed, lines_at):
+    """_order_with's search below the labels in ``order``: the order found,
+    or None.  Places and unplaces as _descend does, one frame per searched
+    label, a point only if its lines pass _order_with's test."""
+    n, start = len(choices), len(order)
+    d, found = start, None
+    while d < n and len(choices[d]) == 1:  # a fixed label: its point or none
+        if not _fits(choices[d][0], on, known, lines_at[d]):
+            break
+        _place(choices[d][0], on, known, order, placed)
+        d += 1
+    if d == n:
+        found = order[:]
+    elif len(choices[d]) > 1:
+        for p in choices[d]:
+            if p not in placed and _fits(p, on, known, lines_at[d]):
+                _place(p, on, known, order, placed)
+                found = _seek(choices, on, known, order, placed, lines_at)
+                _unplace(on, known, order, placed)
+                if found is not None:
+                    break
+    for _ in range(start, d):
+        _unplace(on, known, order, placed)
+    return found
+
+
+def _fits(p: str, on, known, want: list) -> bool:
+    """Whether the lines through ``p``, each as its labels so far and its
+    size, sorted, are ``want``."""
+    return sorted([(tuple(known[l]), len(l)) for l in on[p]]) == want
 
 
 def _place(p: str, on, known, order: list[str], placed: set[str]) -> None:
@@ -223,20 +336,30 @@ def _planes_exactly(n: int) -> list[Plane]:
     A plane is in K0 exactly when the empty set is strong in it, so these
     are the strong extensions of the empty plane by ``n`` points: the line
     sets of _strong_line_sets over no base, whose slack test is then K0
-    membership itself.  Keeps the first line set of each canonical key,
-    relabelled by the labelling that attains the key, and sorts the
-    survivors by key.
+    membership itself.  Each line set is refined once and bucketed by its
+    line sizes and refined colors, an invariant, so a class lies in one
+    bucket.  A search directed at each key kept in the bucket
+    (_order_with) finds whether the line set has it; only a line set that
+    has none of them is a new class and gets its key (_least_encoding).
+    The kept plane is the key itself in letters: the line set relabelled
+    by the labelling that attains the key, whichever line set of the class
+    came first.  The planes are sorted by key.
     """
     empty = make_plane(())
     names = _fresh_names(empty, n)
-    found: dict[tuple, Plane] = {}
+    kept: dict[tuple, list] = {}  # bucket -> (key, its _lines_at) per class
     for lines in _strong_line_sets(empty, names):
-        key, label = canonical_labeling(make_plane(names, lines))
-        if key in found:
-            continue
-        name = {p: chr(ord("a") + i) for p, i in label.items()}
-        found[key] = make_plane(name.values(), [[name[p] for p in l] for l in lines])
-    return [found[key] for key in sorted(found)]
+        plane = make_plane(names, lines)
+        colors, choices = _choices(plane)
+        found = kept.setdefault((tuple(sorted(map(len, lines))), colors), [])
+        if all(_order_with(plane, choices, at) is None for _, at in found):
+            key = n, _least_encoding(lines, choices)[0]
+            found.append((key, _lines_at(key)))
+    letters = [chr(ord("a") + i) for i in range(n)]
+    return [
+        make_plane(letters, [[letters[i] for i in line] for line in encoding])
+        for _, encoding in sorted(key for found in kept.values() for key, _ in found)
+    ]
 
 
 def enumerate_planes(n: int) -> list[Plane]:
@@ -245,9 +368,10 @@ def enumerate_planes(n: int) -> list[Plane]:
     Representatives use points ``a``, ``b``, ... in a canonical labelling and
     are sorted by size then canonical key, so the output order is stable.
     Only hereditarily nonnegative planes are returned.  Guarded at 7 points,
-    a fixed cap: the planes of exactly 8 points take about 0.8 s and of 9
-    points about 24 s (Python 3.11 on a 2-vCPU x86-64 machine), nearly all
-    of it canonical_labeling.
+    a fixed cap: the planes of exactly 8 points take about 0.1 s and of 9
+    points about 3.5 s (Python 3.11 on a 2-vCPU x86-64 machine), nearly all
+    of it refining the line sets' colors and searching for the keys their
+    buckets hold (see _planes_exactly).
     """
     if n < 0:
         raise PreconditionError("census size must be nonnegative")

@@ -65,10 +65,10 @@ from .amalgam import (
 from .census import (
     CENSUS_CAP,
     EXTENSION_CAP,
+    _keyed_labeling,
     _strong_extensions_exactly,
     _strong_over,
     canonical_key,
-    canonical_labeling,
     enumerate_planes,
     enumerate_strong_extensions,
     exact_census,
@@ -82,7 +82,7 @@ from .errors import (
     guard_work,
 )
 from .plane import Plane, _record_valid, line_through, make_plane, restrict, validate
-from .predim import alpha, d_rel, d_value, delta, icl, in_K0, is_strong
+from .predim import alpha, d_rel, delta, icl, in_K0, is_strong
 
 ICL_SWEEP_CAP = 200_000
 
@@ -214,17 +214,18 @@ class _Builder:
         """The first offered copy of type ``key`` as (points, label map), or
         None if no copy offered so far has that type.
 
-        Copies are labelled only here.  A key is looked up among the
-        labelled copies first, then the queued copies of the key's shape
-        (see _shape) are labelled in offer order, each key kept the first
-        time it appears, until the key turns up.  Copies of another shape
-        never share the key, so every key keeps the first offered copy that
-        has it, as if each copy had been labelled when offered.
+        Copies are labelled only here: a key is looked up among the
+        labelled copies, then the queued copies of its shape (see _shape)
+        are labelled in offer order, searching for the key first (see
+        census._keyed_labeling), each key kept when it first appears, until
+        the key turns up.  Copies of another shape never share the key, so
+        every key keeps its first offered copy, as if each copy had been
+        labelled when offered.
         """
         queue = () if key in self.instances else self.queued.get(_shape(*key), ())
         while key not in self.instances and queue:
             copy = queue.popleft()
-            copy_key, label = canonical_labeling(copy)
+            copy_key, label = _keyed_labeling(copy, key)
             if copy_key not in self.instances:
                 self.instances[copy_key] = (
                     copy.points,

@@ -7,10 +7,12 @@ purpose — only run these on small planes.  The wedge helpers
 the wedge condition on whole planes; the library decides it locally.  The
 networkx helpers (networkx_min_delta, networkx_is_strong) are one
 exception to enumeration: a max-flow from networkx, for planes too big to
-enumerate, still sharing no code with the library's engine.  The other is
-oracle_extensions_by_search, which keys the library's own line sets by the
-library's labelling search, a different algorithm from the line table the
-library keys them with.
+enumerate, still sharing no code with the library's engine.  The others
+key the library's own line sets another way than the library does:
+oracle_extensions_by_search by the labelling search, where the library
+reads a line table, and oracle_planes_by_labelling by labelling every
+census line set in full, where the library buckets them and searches for
+the keys it has.
 """
 
 import re
@@ -416,7 +418,7 @@ def oracle_canonical_labeling(plane):
 
     through = plane.lines_through
     fixed, searched, offset = {}, [], 0
-    for cls in _color_classes(plane):
+    for cls in _color_classes(plane).values():
         if len(cls) == 1 or not through[cls[0]]:
             fixed.update((p, offset + i) for i, p in enumerate(cls))
         else:
@@ -577,6 +579,30 @@ def _oracle_over_base_key(new, lines):
         if best is None or encoded < best:
             best = encoded
     return (len(new), best)
+
+
+def oracle_planes_by_labelling(n):
+    """census._planes_exactly keyed by canonical_labeling.
+
+    Walks the library's line sets (_strong_line_sets) over the empty plane
+    and labels each one in full, with no buckets and no directed search;
+    the first line set of each key is kept, relabelled onto letters by the
+    labelling that attains the key, and the keys are sorted.  Returns the
+    planes as a list.
+    """
+    from planeforge import make_plane
+    from planeforge.census import _fresh_names, _strong_line_sets, canonical_labeling
+
+    empty = make_plane(())
+    names = _fresh_names(empty, n)
+    found = {}
+    for lines in _strong_line_sets(empty, names):
+        key, label = canonical_labeling(make_plane(names, lines))
+        if key not in found:
+            name = {p: chr(ord("a") + i) for p, i in label.items()}
+            relabelled = [[name[p] for p in l] for l in lines]
+            found[key] = make_plane(name.values(), relabelled)
+    return [found[key] for key in sorted(found)]
 
 
 def oracle_extensions_by_search(base, m):

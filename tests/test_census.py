@@ -37,17 +37,37 @@ from .oracles import (
     oracle_in_K0,
     oracle_is_strong,
     oracle_least_encoding,
+    oracle_planes_by_labelling,
     oracle_strong_extensions,
     oracle_validate,
 )
 
 EXACT_COUNTS = {0: 1, 1: 1, 2: 1, 3: 2, 4: 3, 5: 5, 6: 10}
+# Simple rank-3 matroids on n elements (Mayhew & Royle 2008, Matroids with
+# nine elements): with the all-collinear plane, one per census class.
+RANK_THREE_MATROIDS = {3: 1, 4: 2, 5: 4, 6: 9, 7: 23, 8: 68}
 
 
 def test_exact_class_counts_up_to_six():
     for n, want in EXACT_COUNTS.items():
         assert len(exact_census(n)) == want, f"n={n}"
     assert len(enumerate_planes(6)) == sum(EXACT_COUNTS.values()) == 23
+
+
+def test_class_counts_through_eight_are_the_rank_three_matroids_and_a_line():
+    # Every simple rank-3 matroid on up to 8 points is in K0, so the census
+    # drops no class of up to 8 points.
+    counts = [len(census_mod._planes_exactly(n)) for n in range(9)]
+    assert counts == [1, 1, 1, 2, 3, 5, 10, 24, 69]
+    for n, matroids in RANK_THREE_MATROIDS.items():
+        assert counts[n] == matroids + 1, n
+
+
+def test_census_matches_the_labelling_oracle_through_eight():
+    # Buckets and the directed search against every line set labelled in
+    # full: equal planes in equal order.
+    for n in range(9):
+        assert census_mod._planes_exactly(n) == oracle_planes_by_labelling(n), n
 
 
 def test_census_members_are_valid_and_nonnegative():
@@ -171,27 +191,70 @@ def test_census_labellings_in_closed_form_match_the_search():
 
 def test_builder_labellings_match_oracle(monkeypatch, nd10):
     # Every plane offered to _register, labelled on demand or never, and
-    # every plane the builder labels; the chain depends on which of the
+    # every label the builder takes; the chain depends on which of the
     # minimal labels comes back.  The census bases of _tier_pairs are
     # labelled in closed form, not here (see the test above).
-    seen = {}  # id -> plane, held so no id is reused
+    seen, labels = {}, []  # id -> plane, held so no id is reused
     register = generic_mod._Builder._register
-    labeling = generic_mod.canonical_labeling
+    keyed_labeling = generic_mod._keyed_labeling
 
     def offered(builder, copy):
         seen[id(copy)] = copy
         register(builder, copy)
 
-    def labelled(plane):
-        seen[id(plane)] = plane
-        return labeling(plane)
+    def labelled(plane, key):
+        labels.append((plane, keyed_labeling(plane, key)))
+        return labels[-1][1]
 
     monkeypatch.setattr(generic_mod._Builder, "_register", offered)
-    monkeypatch.setattr(generic_mod, "canonical_labeling", labelled)
+    monkeypatch.setattr(generic_mod, "_keyed_labeling", labelled)
     build_generic(500, 2, seeds=[nd10])
-    assert len(seen) > 500
+    assert len(seen) > 500 and labels
     for plane in seen.values():
         assert canonical_labeling(plane) == oracle_canonical_labeling(plane), plane
+    for plane, got in labels:
+        assert id(plane) in seen
+        assert got == oracle_canonical_labeling(plane), plane
+
+
+def test_directed_search_finds_its_own_key_and_misses_every_other():
+    # Against a plane's own key, the search directed at it returns
+    # canonical_labeling's label, which the chain depends on; against any
+    # other key of the plane's shape it misses, whether that key is below
+    # the plane's or above it.
+    # Every census plane of up to 7 points, two renamings of each, and
+    # seeded K0 planes of up to 8 points, whose keys the census must hold.
+    keys = {}  # shape -> census keys
+    for plane in enumerate_planes(7) + census_mod._planes_exactly(8):
+        key = canonical_key(plane)
+        keys.setdefault(generic_mod._shape(*key), []).append(key)
+    rng = random.Random(33)
+    planes = [
+        copy
+        for plane in enumerate_planes(7)
+        for copy in (plane, _renamed(plane, rng), _renamed(plane, rng))
+    ]
+    seeded = [random_plane(rng, max_points=8) for _ in range(300)]
+    assert all(in_K0(plane) for plane in seeded)  # as is every plane of <= 8 points
+    planes += seeded
+    below = above = 0
+    for plane in planes:
+        key, label = canonical_labeling(plane)
+        choices = census_mod._choices(plane)[1]
+        order = census_mod._order_with(plane, choices, census_mod._lines_at(key))
+        assert {p: i for i, p in enumerate(order)} == label, plane
+        assert census_mod._keyed_labeling(plane, key) == (key, label)
+        shape_keys = keys[generic_mod._shape(*key)]
+        assert key in shape_keys, plane
+        for other in shape_keys:
+            if other != key:
+                lines_at = census_mod._lines_at(other)
+                assert census_mod._order_with(plane, choices, lines_at) is None
+                assert census_mod._keyed_labeling(plane, other) == (key, label)
+                below += other < key
+                above += other > key
+    assert len(planes) == 3 * 47 + 300
+    assert below > 20 and above > 20
 
 
 def test_canonical_key_beyond_the_recursion_limit_is_a_budget_error():
@@ -200,6 +263,14 @@ def test_canonical_key_beyond_the_recursion_limit_is_a_budget_error():
     line = make_plane([f"p{i}" for i in range(1100)], [[f"p{i}" for i in range(1100)]])
     with pytest.raises(BudgetExceeded, match=r"\b1100 searched labels\b"):
         canonical_key(line)
+
+
+def test_directed_search_beyond_the_recursion_limit_is_a_budget_error():
+    # The search directed at a key takes one frame per searched label too.
+    line = make_plane([f"p{i}" for i in range(1100)], [[f"p{i}" for i in range(1100)]])
+    key = (1100, (tuple(range(1100)),))
+    with pytest.raises(BudgetExceeded, match=r"\b1100 searched labels\b"):
+        census_mod._keyed_labeling(line, key)
 
 
 def test_least_encoding_matches_oracle_on_mixed_choices():
@@ -464,26 +535,43 @@ def test_extensions_match_the_search_oracle():
 
 
 def test_tiers_key_no_line_set_by_the_labelling_search(monkeypatch, nd10):
-    # Over-base keys come from the line table; the branch and bound runs
-    # only under canonical_labeling.
-    calls = {"search": 0, "labelling": 0}
-    least_encoding = census_mod._least_encoding
-    labeling = census_mod.canonical_labeling
+    # Over-base keys come from the line table; neither labelling search,
+    # the branch and bound or the one directed at a key, runs while the
+    # tiers enumerate templates, only when the census and the builder
+    # label planes.
+    calls = {"tiers": 0, "planes": 0, "directed": 0}
+    in_tiers = False
+    strong_extensions = generic_mod._strong_extensions_exactly
+    least_encoding, order_with = census_mod._least_encoding, census_mod._order_with
+
+    def enumerated(*args):
+        nonlocal in_tiers
+        templates = strong_extensions(*args)
+        while True:
+            in_tiers = True
+            try:
+                template = next(templates, None)
+            finally:
+                in_tiers = False
+            if template is None:
+                return
+            yield template
 
     def searched(*args):
-        calls["search"] += 1
+        calls["tiers" if in_tiers else "planes"] += 1
         return least_encoding(*args)
 
-    def labelled(plane):
-        calls["labelling"] += 1
-        return labeling(plane)
+    def directed(*args):
+        calls["tiers" if in_tiers else "directed"] += 1
+        return order_with(*args)
 
+    monkeypatch.setattr(generic_mod, "_strong_extensions_exactly", enumerated)
     monkeypatch.setattr(census_mod, "_least_encoding", searched)
-    monkeypatch.setattr(census_mod, "canonical_labeling", labelled)
-    monkeypatch.setattr(generic_mod, "canonical_labeling", labelled)
+    monkeypatch.setattr(census_mod, "_order_with", directed)
+    monkeypatch.setattr(census_mod, "_census_cache", {})  # a cold census
     build_generic(500, 2, seeds=[nd10])
-    assert calls["labelling"] > 0
-    assert calls["search"] == calls["labelling"]
+    assert calls["tiers"] == 0
+    assert calls["planes"] > 0 and calls["directed"] > 0
 
 
 def test_templates_of_a_group_share_their_lines():

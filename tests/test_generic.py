@@ -612,15 +612,16 @@ def test_registry_labels_lazily_and_keeps_the_first_copy_of_each_type(monkeypatc
 
 
 def test_seeded_build_labels_no_seven_point_plane(monkeypatch, nd10):
-    # The build stops inside tier 6, so no 7-point base is ever asked for.
+    # The build stops inside tier 6, so no 7-point base is ever asked for,
+    # and no copy of 7 points goes to either labelling search.
     sizes = Counter()
-    labeling = generic_mod.canonical_labeling
+    keyed_labeling = generic_mod._keyed_labeling
 
-    def counted(plane):
+    def counted(plane, key):
         sizes[len(plane.points)] += 1
-        return labeling(plane)
+        return keyed_labeling(plane, key)
 
-    monkeypatch.setattr(generic_mod, "canonical_labeling", counted)
+    monkeypatch.setattr(generic_mod, "_keyed_labeling", counted)
     build_generic(500, 2, seeds=[nd10])
     assert sizes[6] > 0
     assert sizes[7] == 0
@@ -628,23 +629,26 @@ def test_seeded_build_labels_no_seven_point_plane(monkeypatch, nd10):
 
 def test_seeded_build_labels_only_copies_of_the_asked_shape(monkeypatch, nd10):
     # A key fixes its point count and line sizes, so only queued copies of
-    # that shape are labelled: 23 here, against 142 when every queued copy
-    # of the key's point count could be.
+    # that shape go to the search directed at the key, and on a miss to
+    # the full one: 23 here, against 142 when every queued copy of the
+    # key's point count could be.
     offered, labelled = {}, []  # held, so no id is reused
-    register, labeling = generic_mod._Builder._register, generic_mod.canonical_labeling
+    register = generic_mod._Builder._register
+    keyed_labeling = generic_mod._keyed_labeling
 
     def record(builder, copy):
         offered[id(copy)] = copy
         register(builder, copy)
 
-    def counted(plane):
+    def counted(plane, key):
         labelled.append(plane)
-        return labeling(plane)
+        return keyed_labeling(plane, key)
 
     monkeypatch.setattr(generic_mod._Builder, "_register", record)
-    monkeypatch.setattr(generic_mod, "canonical_labeling", counted)
+    monkeypatch.setattr(generic_mod, "_keyed_labeling", counted)
     build_generic(500, 2, seeds=[nd10])
     copies = [plane for plane in labelled if id(plane) in offered]
+    assert copies == labelled
     assert 0 < len(copies) <= 25
 
 
