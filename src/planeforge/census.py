@@ -15,14 +15,16 @@ also takes the new points in first-use order, which keeps the first line
 set of every class over the base.  Both cuts are exact (see
 _strong_line_sets).  A plane's key comes from a branch-and-bound search
 for a least encoding over its refined color classes (_least_encoding).
-Each class is keyed once: the census buckets its line sets by their
-refined colors, and a search directed at a known key (_order_with) finds
-whether a line set has one of its bucket's keys, so only a line set of a
-new class runs the full search.  The builder labels a queued copy by the
-same directed search for the key it is asked for (_keyed_labeling).  A key
-over the base fixes the base points and takes the least encoding over the
-m! orders of the m <= EXTENSION_CAP new points, read from one table per
-(base, m) group that encodes each line once under every order (see
+Each class is keyed once: the census keeps a class index, its keys
+bucketed by line sizes and refined colors, and a search directed at a
+known key (_order_with) finds whether a line set has one of its bucket's
+keys, so only a line set of a new class runs the full search.  Each size's
+classes and index are kept, and _class_of keys and labels any K0 plane of
+at most CENSUS_CAP points by the same lookup, as the builder does its
+copies; canonical_labeling keys every other plane.  A key over the base
+fixes the base points and takes the least encoding over the m! orders of
+the m <= EXTENSION_CAP new points, read from one table per (base, m)
+group that encodes each line once under every order (see
 _strong_extensions_exactly).  The builder's step test (_strong_over) is
 the same slack test read per line, so only this module knows the packed
 format.
@@ -35,7 +37,7 @@ from functools import cache
 from itertools import combinations, permutations
 from typing import AbstractSet
 
-from .errors import BudgetExceeded, PreconditionError
+from .errors import BudgetExceeded, PlaneError, PreconditionError
 from .plane import Plane, _record_valid, make_plane, validate
 from .predim import in_K0, is_strong
 
@@ -44,7 +46,9 @@ EXTENSION_CAP = 4
 
 _ONE_MORE = bytes(range(1, 256)) + b"\0"  # bytes.translate table c -> c + 1
 
-_census_cache: dict[int, list[Plane]] = {}
+# n -> the classes on n points as (key, plane in letters, label), sorted
+# by key, and their index, bucket -> (key, its _lines_at) per class
+_census_cache: dict[int, tuple[list, dict]] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +127,6 @@ def canonical_labeling(plane: Plane) -> tuple[tuple, dict[str, int]]:
     """
     encoding, order = _least_encoding(plane.lines, _choices(plane)[1])
     return (len(order), encoding), {p: i for i, p in enumerate(order)}
-
-
-def _keyed_labeling(plane: Plane, key: tuple) -> tuple[tuple, dict[str, int]]:
-    """canonical_labeling of ``plane``, looked for first under ``key``.
-
-    A search directed at the key (_order_with) finds the first order whose
-    encoding is the key, which is the first minimal one when the plane has
-    the key, so it is canonical_labeling's label.  A miss runs the full
-    search on the same classes.
-    """
-    choices = _choices(plane)[1]
-    order = None
-    if key[0] == len(choices):
-        order = _order_with(plane, choices, _lines_at(key))
-    if order is None:
-        encoding, order = _least_encoding(plane.lines, choices)
-        key = len(order), encoding
-    return key, {p: i for i, p in enumerate(order)}
 
 
 def _least_encoding(lines, choices: list[list[str]]) -> tuple[tuple, list[str]]:
@@ -330,36 +316,76 @@ def canonical_key(plane: Plane) -> tuple:
 # plane census
 
 
-def _planes_exactly(n: int) -> list[Plane]:
-    """One K0 plane per class on exactly ``n`` points, in canonical letters.
+def _planes_exactly(n: int) -> tuple[list[tuple[tuple, Plane, dict]], dict]:
+    """The K0 classes on exactly ``n`` points as (key, plane in canonical
+    letters, its canonical labelling), sorted by key, and their class index.
 
     A plane is in K0 exactly when the empty set is strong in it, so these
     are the strong extensions of the empty plane by ``n`` points: the line
     sets of _strong_line_sets over no base, whose slack test is then K0
     membership itself.  Each line set is refined once and bucketed by its
     line sizes and refined colors, an invariant, so a class lies in one
-    bucket.  A search directed at each key kept in the bucket
-    (_order_with) finds whether the line set has it; only a line set that
-    has none of them is a new class and gets its key (_least_encoding).
-    The kept plane is the key itself in letters: the line set relabelled
-    by the labelling that attains the key, whichever line set of the class
-    came first.  The planes are sorted by key.
+    bucket; the index maps a bucket to (key, its _lines_at) per class in
+    it.  A line set that has none of its bucket's keys (see _lookup) is a
+    new class and gets its key (_least_encoding).  The kept plane is the
+    key itself in letters, letter i taking label i, whichever line set of
+    the class came first.  That label attains the key, and it is
+    canonical_labeling's: each refined class is a run of letters, so the
+    identity is the first leaf of the search.
     """
     empty = make_plane(())
     names = _fresh_names(empty, n)
-    kept: dict[tuple, list] = {}  # bucket -> (key, its _lines_at) per class
+    index: dict[tuple, list] = {}
     for lines in _strong_line_sets(empty, names):
-        plane = make_plane(names, lines)
-        colors, choices = _choices(plane)
-        found = kept.setdefault((tuple(sorted(map(len, lines))), colors), [])
-        if all(_order_with(plane, choices, at) is None for _, at in found):
+        bucket, choices, hit = _lookup(index, make_plane(names, lines))
+        if hit is None:
             key = n, _least_encoding(lines, choices)[0]
-            found.append((key, _lines_at(key)))
+            index.setdefault(bucket, []).append((key, _lines_at(key)))
     letters = [chr(ord("a") + i) for i in range(n)]
+    label = dict(zip(letters, range(n)))
+    keys = sorted(key for found in index.values() for key, _ in found)
     return [
-        make_plane(letters, [[letters[i] for i in line] for line in encoding])
-        for _, encoding in sorted(key for found in kept.values() for key, _ in found)
-    ]
+        (key, make_plane(letters, [[letters[i] for i in l] for l in key[1]]), label)
+        for key in keys
+    ], index
+
+
+def _lookup(index: dict, plane: Plane) -> tuple[tuple, list, tuple | None]:
+    """The bucket of ``plane`` in a class index, its _choices, and the
+    first key in the bucket that the plane has, with the first order
+    attaining it (see _order_with), or None."""
+    colors, choices = _choices(plane)
+    bucket = tuple(sorted(map(len, plane.lines))), colors
+    for key, lines_at in index.get(bucket, ()):
+        order = _order_with(plane, choices, lines_at)
+        if order is not None:
+            return bucket, choices, (key, order)
+    return bucket, choices, None
+
+
+def _class_of(plane: Plane) -> tuple[tuple, dict[str, int]]:
+    """canonical_labeling of a K0 plane of at most CENSUS_CAP points, read
+    from the census's class index: the plane's key, the one its bucket
+    holds, and the first order attaining it, which is the first minimal
+    one (see _order_with).  More points raise BudgetExceeded before any
+    census is computed; a plane with no census key is not in K0, a broken
+    invariant, and raises PlaneError."""
+    hit = _lookup(_census(len(plane.points))[1], plane)[2]
+    if hit is None:
+        raise PlaneError("census invariant broken: plane has no census key")
+    key, order = hit
+    return key, {p: i for i, p in enumerate(order)}
+
+
+def _census(n: int) -> tuple[list[tuple[tuple, Plane, dict]], dict]:
+    """_planes_exactly(n), computed once, and refused past CENSUS_CAP."""
+    if n < 0:
+        raise PreconditionError("census size must be nonnegative")
+    if n > CENSUS_CAP:
+        raise BudgetExceeded(f"census capped at {CENSUS_CAP} points, requested {n}")
+    if n not in _census_cache:
+        _census_cache[n] = _planes_exactly(n)
+    return _census_cache[n]
 
 
 def enumerate_planes(n: int) -> list[Plane]:
@@ -369,26 +395,18 @@ def enumerate_planes(n: int) -> list[Plane]:
     are sorted by size then canonical key, so the output order is stable.
     Only hereditarily nonnegative planes are returned.  Guarded at 7 points,
     a fixed cap: the planes of exactly 8 points take about 0.1 s and of 9
-    points about 3.5 s (Python 3.11 on a 2-vCPU x86-64 machine), nearly all
+    points about 3.2 s (Python 3.11 on a 2-vCPU x86-64 machine), nearly all
     of it refining the line sets' colors and searching for the keys their
     buckets hold (see _planes_exactly).
     """
-    if n < 0:
-        raise PreconditionError("census size must be nonnegative")
-    if n > CENSUS_CAP:
-        raise BudgetExceeded(f"census capped at {CENSUS_CAP} points, requested {n}")
-    out: list[Plane] = []
-    for k in range(n + 1):
-        if k not in _census_cache:
-            _census_cache[k] = _planes_exactly(k)
-        out.extend(_census_cache[k])
-    return out
+    last = exact_census(n)  # refuses n before any census is computed
+    return [plane for k in range(n) for plane in exact_census(k)] + last
 
 
 def exact_census(n: int) -> list[Plane]:
-    """Planes with exactly ``n`` points, one per isomorphism class."""
-    full = enumerate_planes(n)
-    return [p for p in full if len(p.points) == n]
+    """Planes with exactly ``n`` points, one per isomorphism class, sorted
+    by key; guarded as enumerate_planes is."""
+    return [plane for _, plane, _ in _census(n)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ situation at a time, so a build that stops inside a tier never enumerates
 the rest of it.  A tier's templates come one (base, new size) group at a
 time, each size enumerated once, and their strength over the base is
 decided from delta increments while they are generated, so the tiers solve
-no min-cut (see census._strong_line_sets); each census base's labelling is
-read off its letters.
+no min-cut (see census._strong_line_sets); each census base comes with
+its key and labelling.
 The builder keeps one stage as mutable sets, each line under an int id,
 with a point -> line ids index and, per base instance C, the stage lines
 through two points of C by C-trace.  A step checks C on those traces and
@@ -34,8 +34,9 @@ the records hold each incidence of the final plane once.  One forward
 replay derives each step's lines and every stage (see ExtensionChain).
 Glued copies are labelled on demand: a copy waits in a queue for its
 shape, its point count and sorted line sizes, which a canonical key fixes,
-until a base of that shape is asked for (see _Builder.instance); past the
-last tier only the shapes of the pushed-back pairs are kept.
+until a base of that shape is asked for, and is then keyed from the
+census's class index (see _Builder.instance); past the last tier only the
+shapes of the pushed-back pairs are kept.
 check_genericity measures how much of that closure a finished stage
 actually exhibits.
 """
@@ -65,13 +66,12 @@ from .amalgam import (
 from .census import (
     CENSUS_CAP,
     EXTENSION_CAP,
-    _keyed_labeling,
+    _census,
+    _class_of,
     _strong_extensions_exactly,
     _strong_over,
-    canonical_key,
     enumerate_planes,
     enumerate_strong_extensions,
-    exact_census,
 )
 from .embedding import embeddings
 from .errors import (
@@ -216,16 +216,16 @@ class _Builder:
 
         Copies are labelled only here: a key is looked up among the
         labelled copies, then the queued copies of its shape (see _shape)
-        are labelled in offer order, searching for the key first (see
-        census._keyed_labeling), each key kept when it first appears, until
-        the key turns up.  Copies of another shape never share the key, so
+        are labelled in offer order from the census's class index (see
+        census._class_of), each key kept when it first appears, until the
+        key turns up.  Copies of another shape never share the key, so
         every key keeps its first offered copy, as if each copy had been
         labelled when offered.
         """
         queue = () if key in self.instances else self.queued.get(_shape(*key), ())
         while key not in self.instances and queue:
             copy = queue.popleft()
-            copy_key, label = _keyed_labeling(copy, key)
+            copy_key, label = _class_of(copy)
             if copy_key not in self.instances:
                 self.instances[copy_key] = (
                     copy.points,
@@ -335,31 +335,18 @@ def _tier_pairs(tier: int, ext_bound: int) -> Iterator[_TypePair]:
     so a build that stops early in a tier never pays for the rest.  Each
     group enumerates the templates of exactly its own new size, once.
     Census bases are valid and in K0 by construction, so no group checks
-    its base, each base's labelling is read off its letters (see
-    _letter_labeling), and the templates' strength is decided without a
-    min-cut (see census._strong_line_sets).
+    its base, each base comes with its key and canonical labelling (see
+    census._planes_exactly), and the templates' strength is decided
+    without a min-cut (see census._strong_line_sets).
     """
     for base_size in range(0, tier + 1):
         new_sizes = [
             n for n in range(1, ext_bound + 1) if max(base_size, n) == tier
         ]
         for new_size in new_sizes:
-            for base in exact_census(base_size):
-                base_key, base_label = _letter_labeling(base)
+            for base_key, base, base_label in _census(base_size)[0]:
                 for template in _strong_extensions_exactly(base, new_size):
                     yield _TypePair(base_key, base_label, template)
-
-
-def _letter_labeling(base: Plane) -> tuple[tuple, dict[str, int]]:
-    """canonical_labeling of a census plane in closed form: each letter
-    takes its index in sorted order, and the key is the plane's encoding
-    under that label.  The census letters each class by its first least
-    order (see census._planes_exactly), so every refined class is a run of
-    letters, tried in sorted order: the identity is the first leaf of
-    _least_encoding's search, and it attains the least encoding."""
-    label = {p: i for i, p in enumerate(sorted(base.points))}
-    encoding = sorted(tuple(sorted(label[p] for p in line)) for line in base.lines)
-    return (len(label), tuple(encoding)), label
 
 
 def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
@@ -386,7 +373,8 @@ def build_generic(steps: int, ext_bound: int, seeds=()) -> ExtensionChain:
         )
 
     builder = _Builder()
-    empty = builder.instance(canonical_key(make_plane(())))
+    ((empty_key, _, _),) = _census(0)[0]  # the one class on 0 points
+    empty = builder.instance(empty_key)
 
     for seed in seeds:
         if len(builder.records) >= steps:

@@ -582,7 +582,7 @@ def _oracle_over_base_key(new, lines):
 
 
 def oracle_planes_by_labelling(n):
-    """census._planes_exactly keyed by canonical_labeling.
+    """census._planes_exactly's planes, keyed by canonical_labeling.
 
     Walks the library's line sets (_strong_line_sets) over the empty plane
     and labels each one in full, with no buckets and no directed search;

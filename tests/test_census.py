@@ -12,6 +12,7 @@ import planeforge.plane as plane_mod
 from planeforge import (
     BudgetExceeded,
     build_generic,
+    PlaneError,
     PreconditionError,
     are_isomorphic,
     canonical_key,
@@ -27,6 +28,7 @@ from planeforge import (
     validate,
 )
 from planeforge.census import CENSUS_CAP, EXTENSION_CAP, canonical_labeling
+from planeforge.plane import Plane
 
 from .conftest import random_lines, random_plane
 from .oracles import (
@@ -56,18 +58,24 @@ def test_exact_class_counts_up_to_six():
 
 def test_class_counts_through_eight_are_the_rank_three_matroids_and_a_line():
     # Every simple rank-3 matroid on up to 8 points is in K0, so the census
-    # drops no class of up to 8 points.
-    counts = [len(census_mod._planes_exactly(n)) for n in range(9)]
+    # drops no class of up to 8 points.  Through 8 points each bucket of
+    # the class index holds one class; the lookup does not rely on it.
+    censuses = [census_mod._planes_exactly(n) for n in range(9)]
+    counts = [len(classes) for classes, _ in censuses]
     assert counts == [1, 1, 1, 2, 3, 5, 10, 24, 69]
     for n, matroids in RANK_THREE_MATROIDS.items():
         assert counts[n] == matroids + 1, n
+    for n, (_, index) in enumerate(censuses):
+        assert [len(found) for found in index.values()] == [1] * counts[n], n
 
 
 def test_census_matches_the_labelling_oracle_through_eight():
     # Buckets and the directed search against every line set labelled in
-    # full: equal planes in equal order.
+    # full: equal planes in equal order, each kept with its own key.
     for n in range(9):
-        assert census_mod._planes_exactly(n) == oracle_planes_by_labelling(n), n
+        classes = census_mod._planes_exactly(n)[0]
+        assert [plane for _, plane, _ in classes] == oracle_planes_by_labelling(n), n
+        assert all(key == canonical_key(plane) for key, plane, _ in classes), n
 
 
 def test_census_members_are_valid_and_nonnegative():
@@ -174,40 +182,44 @@ def test_canonical_labeling_matches_oracle_on_random_planes():
 
 
 def test_census_labellings_in_closed_form_match_the_search():
-    # _tier_pairs reads each census base's (key, label) off its letters;
-    # the chain depends on which of the minimal labels comes back.
-    planes = enumerate_planes(CENSUS_CAP)
-    assert len(planes) == 47
-    for plane in planes:
-        closed = generic_mod._letter_labeling(plane)
-        assert closed == canonical_labeling(plane) == oracle_canonical_labeling(plane)
+    # _tier_pairs reads each census base's stored key and label, letter i
+    # taking label i; the chain depends on which of the minimal labels that is.
+    classes = [c for n in range(CENSUS_CAP + 1) for c in census_mod._census(n)[0]]
+    assert len(classes) == 47
+    for key, plane, label in classes:
+        assert label == {p: i for i, p in enumerate(sorted(plane.points))}
+        assert (key, label) == canonical_labeling(plane)
+        assert (key, label) == oracle_canonical_labeling(plane)
+        assert census_mod._class_of(plane) == (key, label)
     # A relabelled copy is not labelled by its sorted names, so the
     # comparison above can fail.
-    copy = _renamed(planes[-1], random.Random(3))
-    key, label = canonical_labeling(copy)
-    assert key == generic_mod._letter_labeling(planes[-1])[0]
-    assert label != generic_mod._letter_labeling(copy)[1]
+    key, plane, _ = classes[-1]
+    copy = _renamed(plane, random.Random(3))
+    got = canonical_labeling(copy)
+    assert got == census_mod._class_of(copy)
+    assert got[0] == key
+    assert got[1] != {p: i for i, p in enumerate(sorted(copy.points))}
 
 
 def test_builder_labellings_match_oracle(monkeypatch, nd10):
     # Every plane offered to _register, labelled on demand or never, and
     # every label the builder takes; the chain depends on which of the
-    # minimal labels comes back.  The census bases of _tier_pairs are
-    # labelled in closed form, not here (see the test above).
+    # minimal labels comes back.  The census bases of _tier_pairs come
+    # with their keys and letters, not from here (see the test above).
     seen, labels = {}, []  # id -> plane, held so no id is reused
     register = generic_mod._Builder._register
-    keyed_labeling = generic_mod._keyed_labeling
+    class_of = generic_mod._class_of
 
     def offered(builder, copy):
         seen[id(copy)] = copy
         register(builder, copy)
 
-    def labelled(plane, key):
-        labels.append((plane, keyed_labeling(plane, key)))
+    def labelled(plane):
+        labels.append((plane, class_of(plane)))
         return labels[-1][1]
 
     monkeypatch.setattr(generic_mod._Builder, "_register", offered)
-    monkeypatch.setattr(generic_mod, "_keyed_labeling", labelled)
+    monkeypatch.setattr(generic_mod, "_class_of", labelled)
     build_generic(500, 2, seeds=[nd10])
     assert len(seen) > 500 and labels
     for plane in seen.values():
@@ -221,13 +233,14 @@ def test_directed_search_finds_its_own_key_and_misses_every_other():
     # Against a plane's own key, the search directed at it returns
     # canonical_labeling's label, which the chain depends on; against any
     # other key of the plane's shape it misses, whether that key is below
-    # the plane's or above it.
+    # the plane's or above it.  The class index (_class_of) returns the
+    # same key and label for every plane of up to CENSUS_CAP points.
     # Every census plane of up to 7 points, two renamings of each, and
     # seeded K0 planes of up to 8 points, whose keys the census must hold.
     keys = {}  # shape -> census keys
-    for plane in enumerate_planes(7) + census_mod._planes_exactly(8):
-        key = canonical_key(plane)
-        keys.setdefault(generic_mod._shape(*key), []).append(key)
+    for n in range(9):
+        for key, _, _ in census_mod._planes_exactly(n)[0]:
+            keys.setdefault(generic_mod._shape(*key), []).append(key)
     rng = random.Random(33)
     planes = [
         copy
@@ -237,24 +250,26 @@ def test_directed_search_finds_its_own_key_and_misses_every_other():
     seeded = [random_plane(rng, max_points=8) for _ in range(300)]
     assert all(in_K0(plane) for plane in seeded)  # as is every plane of <= 8 points
     planes += seeded
-    below = above = 0
+    below = above = indexed = 0
     for plane in planes:
         key, label = canonical_labeling(plane)
         choices = census_mod._choices(plane)[1]
         order = census_mod._order_with(plane, choices, census_mod._lines_at(key))
         assert {p: i for i, p in enumerate(order)} == label, plane
-        assert census_mod._keyed_labeling(plane, key) == (key, label)
+        if len(plane.points) <= CENSUS_CAP:
+            assert census_mod._class_of(plane) == (key, label)
+            indexed += 1
         shape_keys = keys[generic_mod._shape(*key)]
         assert key in shape_keys, plane
         for other in shape_keys:
             if other != key:
                 lines_at = census_mod._lines_at(other)
                 assert census_mod._order_with(plane, choices, lines_at) is None
-                assert census_mod._keyed_labeling(plane, other) == (key, label)
                 below += other < key
                 above += other > key
     assert len(planes) == 3 * 47 + 300
     assert below > 20 and above > 20
+    assert 3 * 47 < indexed < len(planes)
 
 
 def test_canonical_key_beyond_the_recursion_limit_is_a_budget_error():
@@ -268,9 +283,30 @@ def test_canonical_key_beyond_the_recursion_limit_is_a_budget_error():
 def test_directed_search_beyond_the_recursion_limit_is_a_budget_error():
     # The search directed at a key takes one frame per searched label too.
     line = make_plane([f"p{i}" for i in range(1100)], [[f"p{i}" for i in range(1100)]])
-    key = (1100, (tuple(range(1100)),))
+    lines_at = census_mod._lines_at((1100, (tuple(range(1100)),)))
+    choices = census_mod._choices(line)[1]
     with pytest.raises(BudgetExceeded, match=r"\b1100 searched labels\b"):
-        census_mod._keyed_labeling(line, key)
+        census_mod._order_with(line, choices, lines_at)
+
+
+def test_class_of_refuses_planes_past_the_cap_and_planes_outside_k0(monkeypatch):
+    # Past CENSUS_CAP points the lookup is refused before any census is
+    # computed, so no caller can start one without bound.
+    def no_census(n):
+        raise AssertionError(f"census of {n} points computed")
+
+    monkeypatch.setattr(census_mod, "_census_cache", {})
+    monkeypatch.setattr(census_mod, "_planes_exactly", no_census)
+    eight = make_plane([f"p{i}" for i in range(8)], [["p0", "p1", "p2"]])
+    with pytest.raises(BudgetExceeded, match=r"\bcapped at 7 points, requested 8\b"):
+        census_mod._class_of(eight)
+    assert census_mod._census_cache == {}
+    # A plane with no census key is a broken invariant: two lines on the
+    # same two points, left unchecked, have a shape no K0 plane has.
+    monkeypatch.undo()
+    broken = Plane(frozenset("abcd"), frozenset([frozenset("abc"), frozenset("abd")]))
+    with pytest.raises(PlaneError, match="no census key"):
+        census_mod._class_of(broken)
 
 
 def test_least_encoding_matches_oracle_on_mixed_choices():
@@ -601,16 +637,18 @@ def test_extension_determinism():
     assert len(enumerate_strong_extensions(tri, 1)) == 2
 
 
-def test_searches_leave_no_reference_cycles(fig2, fano):
-    # Labelling, the census's plane search, extension enumeration and the
-    # embedding search hold no closure that calls itself, so every call
-    # frees all it made without the cyclic collector.
+def test_searches_leave_no_reference_cycles(monkeypatch, fig2, fano):
+    # Labelling, the census's plane search and class index, extension
+    # enumeration and the embedding search hold no closure that calls
+    # itself, so every call frees all it made without the cyclic collector.
     planes = enumerate_planes(6)
+    monkeypatch.setattr(census_mod, "_census_cache", {})  # a cold class index
     gc.collect()
     gc.disable()
     try:
         for plane in planes:
             canonical_labeling(plane)
+            census_mod._class_of(plane)
         for n in range(6):
             census_mod._planes_exactly(n)
         for base in planes:

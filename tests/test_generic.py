@@ -12,6 +12,7 @@ from itertools import combinations
 import pytest
 
 import planeforge.amalgam as amalgam_mod
+import planeforge.census as census_mod
 import planeforge.generic as generic_mod
 import planeforge.plane as plane_mod
 import planeforge.predim as predim_mod
@@ -613,15 +614,15 @@ def test_registry_labels_lazily_and_keeps_the_first_copy_of_each_type(monkeypatc
 
 def test_seeded_build_labels_no_seven_point_plane(monkeypatch, nd10):
     # The build stops inside tier 6, so no 7-point base is ever asked for,
-    # and no copy of 7 points goes to either labelling search.
+    # and no copy of 7 points is looked up in the class index.
     sizes = Counter()
-    keyed_labeling = generic_mod._keyed_labeling
+    class_of = generic_mod._class_of
 
-    def counted(plane, key):
+    def counted(plane):
         sizes[len(plane.points)] += 1
-        return keyed_labeling(plane, key)
+        return class_of(plane)
 
-    monkeypatch.setattr(generic_mod, "_keyed_labeling", counted)
+    monkeypatch.setattr(generic_mod, "_class_of", counted)
     build_generic(500, 2, seeds=[nd10])
     assert sizes[6] > 0
     assert sizes[7] == 0
@@ -629,27 +630,48 @@ def test_seeded_build_labels_no_seven_point_plane(monkeypatch, nd10):
 
 def test_seeded_build_labels_only_copies_of_the_asked_shape(monkeypatch, nd10):
     # A key fixes its point count and line sizes, so only queued copies of
-    # that shape go to the search directed at the key, and on a miss to
-    # the full one: 23 here, against 142 when every queued copy of the
-    # key's point count could be.
+    # that shape are looked up in the class index: 23 here, against 142
+    # when every queued copy of the key's point count could be.
     offered, labelled = {}, []  # held, so no id is reused
     register = generic_mod._Builder._register
-    keyed_labeling = generic_mod._keyed_labeling
+    class_of = generic_mod._class_of
 
     def record(builder, copy):
         offered[id(copy)] = copy
         register(builder, copy)
 
-    def counted(plane, key):
+    def counted(plane):
         labelled.append(plane)
-        return keyed_labeling(plane, key)
+        return class_of(plane)
 
     monkeypatch.setattr(generic_mod._Builder, "_register", record)
-    monkeypatch.setattr(generic_mod, "_keyed_labeling", counted)
+    monkeypatch.setattr(generic_mod, "_class_of", counted)
     build_generic(500, 2, seeds=[nd10])
     copies = [plane for plane in labelled if id(plane) in offered]
     assert copies == labelled
     assert 0 < len(copies) <= 25
+
+
+@pytest.mark.parametrize("steps, ext_bound, seeded", [(500, 2, True), (412, 1, False)])
+def test_builder_runs_no_full_labelling_search(
+    monkeypatch, steps, ext_bound, seeded, nd10
+):
+    # Every key a build asks for is in the census, and each queued copy is
+    # keyed from the class index, so on a warm census the full search
+    # (_least_encoding) labels no plane, not even a copy of another class
+    # than the one asked for.
+    enumerate_planes(CENSUS_CAP)
+    calls = []
+    least_encoding = census_mod._least_encoding
+
+    def counted(*args):
+        calls.append(args)
+        return least_encoding(*args)
+
+    monkeypatch.setattr(census_mod, "_least_encoding", counted)
+    chain = build_generic(steps, ext_bound, seeds=[nd10] if seeded else ())
+    assert len(chain.steps) == steps
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,14 @@ def test_the_builder_reads_the_census_slack_test():
     assert generic_mod._strong_over is census_mod._strong_over
 
 
+def test_the_builder_keys_planes_only_through_the_class_index():
+    # One class index: the builder labels copies with the census's own
+    # lookup and imports neither labelling search nor canonical_labeling.
+    assert generic_mod._class_of is census_mod._class_of
+    for name in ("_least_encoding", "_order_with", "canonical_labeling"):
+        assert not hasattr(generic_mod, name), name
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_alone(module):
     proc = subprocess.run(
